@@ -3,15 +3,27 @@
 The value model has three layers:
 
 * ``SparsePoly``: a sparse polynomial over GF(p) in the variables of one
-  ``VarTable``, stored as a canonical map from exponent tuples to nonzero
-  residues.  Dict equality therefore decides polynomial equality.
+  ``VarTable``, stored as a canonical map from packed monomial keys to
+  nonzero residues.  Dict equality therefore decides polynomial equality.
+  A key is one int: a ``FIELD_BITS``-bit field per variable (the table's
+  first variable most significant) with the total degree in the field
+  above them, so integer order is the graded lexicographic order, a
+  product of monomials is a sum of keys and the Frobenius map multiplies
+  keys by p (after Monagan and Pearce, "Polynomial Division Using Dynamic
+  Arrays, Heaps, and Packed Exponent Vectors", CASC 2007).  Total degrees
+  are limited to ``MAX_DEGREE`` = 65535; a result beyond it raises
+  ``OverflowError`` and never wraps.  The public constructor and
+  ``from_json`` take exponent tuples and validate them.
 * ``ParamRational``: a quotient of two parameter-only sparse polynomials.
   Equality is decided by cross multiplication, which is exact because the
   polynomial ring is an integral domain.  Normalisation only strips a
   common monomial factor and scales the denominator's leading coefficient
-  to one; no multivariate gcd is ever computed.
+  to one; no multivariate gcd is ever computed.  The constructor,
+  ``from_json`` and ``substituted`` check that both parts are
+  parameter-only; ring operations skip the check, since they cannot leave
+  the parameter subring.
 * ``GeomPoly``: a polynomial in the geometric variables whose coefficients
-  are ``ParamRational`` values.
+  are ``ParamRational`` values, keyed by exponent tuples.
 
 All values are immutable after construction and every operation is a pure
 function, so values may be shared freely between threads.
@@ -30,10 +42,16 @@ canonical forms and quotients are reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import add
 
 PARAM = "param"
 GEOM = "geom"
+
+# packed monomial layout of SparsePoly: one field per variable
+FIELD_BITS = 16
+MAX_DEGREE = (1 << FIELD_BITS) - 1
 
 
 class TableMismatchError(ValueError):
@@ -95,10 +113,16 @@ class VarTable:
     ``geom`` (geometric coordinates).  ``root_depth`` k means each param
     symbol denotes the p^k-th root of its depth-0 value, so the depth-0
     parameter equals symbol**(p**k).
+
+    The table also holds the constants of the packed monomial layout used
+    by ``SparsePoly``: the bit offset of each variable's field, the offset
+    of the total-degree field above them, the key of each single variable
+    and the mask of the geometric fields.
     """
 
     __slots__ = ("names", "kinds", "field", "root_depth",
-                 "_index", "param_indices", "geom_indices")
+                 "_index", "param_indices", "geom_indices",
+                 "_shifts", "_deg_shift", "_units", "_geom_mask")
 
     def __init__(self, names, kinds, p: int = 2, root_depth: int = 0):
         names = tuple(names)
@@ -119,6 +143,11 @@ class VarTable:
         self._index = {n: i for i, n in enumerate(names)}
         self.param_indices = tuple(i for i, k in enumerate(kinds) if k == PARAM)
         self.geom_indices = tuple(i for i, k in enumerate(kinds) if k == GEOM)
+        width = len(names)
+        self._shifts = tuple(FIELD_BITS * (width - 1 - i) for i in range(width))
+        self._deg_shift = FIELD_BITS * width
+        self._units = tuple((1 << s) | (1 << self._deg_shift) for s in self._shifts)
+        self._geom_mask = sum(MAX_DEGREE << self._shifts[i] for i in self.geom_indices)
 
     @property
     def p(self) -> int:
@@ -138,6 +167,8 @@ class VarTable:
         return VarTable(self.names, self.kinds, self.p, depth)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, VarTable):
             return NotImplemented
         return (self.names == other.names and self.kinds == other.kinds
@@ -151,7 +182,7 @@ class VarTable:
 
 
 def _same_table(a, b) -> None:
-    if a.table != b.table:
+    if a.table is not b.table and a.table != b.table:
         raise TableMismatchError("mismatched variable tables")
 
 
@@ -159,33 +190,110 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-class SparsePoly:
-    """Canonical sparse polynomial over GF(p) in the table's variables."""
+def _pack(table: VarTable, exp) -> int:
+    """Packed key of an exponent tuple, validating width, sign and degree."""
+    exp = tuple(exp)
+    if len(exp) != len(table.names):
+        raise ValueError("exponent tuple has wrong width")
+    if any(e < 0 for e in exp):
+        raise ValueError("exponents must be nonnegative")
+    deg = sum(exp)
+    _check_degree(deg)
+    key = deg << table._deg_shift
+    for e, s in zip(exp, table._shifts):
+        key |= e << s
+    return key
 
-    __slots__ = ("table", "terms")
+
+def _unpack(table: VarTable, key: int) -> tuple:
+    return tuple((key >> s) & MAX_DEGREE for s in table._shifts)
+
+
+def _check_degree(deg: int) -> None:
+    if deg > MAX_DEGREE:
+        raise OverflowError(f"total degree {deg} exceeds {MAX_DEGREE}")
+
+
+def _power(base, n: int):
+    """base**n for n >= 1 by square-and-multiply from the lowest set bit:
+    bit_length(n) - 1 squarings and popcount(n) - 1 multiplications."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
+class _TermsView(Mapping):
+    """Read-only view of packed terms keyed by exponent tuples."""
+
+    __slots__ = ("_table", "_t")
+
+    def __init__(self, table: VarTable, packed: dict):
+        self._table = table
+        self._t = packed
+
+    def __getitem__(self, exp):
+        try:
+            key = _pack(self._table, exp)
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(exp) from None
+        return self._t[key]
+
+    def __iter__(self):
+        table = self._table
+        return (_unpack(table, key) for key in self._t)
+
+    def __len__(self):
+        return len(self._t)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class SparsePoly:
+    """Canonical sparse polynomial over GF(p) in the table's variables.
+
+    Terms map packed monomial keys to nonzero residues.  A key holds one
+    ``FIELD_BITS``-wide field per variable, the table's first variable
+    most significant, and the total degree in a field above them, so
+    integer order on keys is the graded lexicographic order and the
+    product of monomials is the sum of their keys.  Every total degree,
+    and so every exponent, is at most ``MAX_DEGREE``; an operation whose
+    result would exceed it raises ``OverflowError`` instead of wrapping.
+
+    The constructor takes a map from exponent tuples to integers and
+    validates width, signs and the degree limit; ``terms`` is a read-only
+    view keyed by exponent tuples.  Internal operations build results
+    directly from packed keys through ``_raw``.
+    """
+
+    __slots__ = ("table", "_t")
 
     def __init__(self, table: VarTable, terms=()):
-        width = len(table.names)
         p = table.p
         clean = {}
         for exp, c in dict(terms).items():
-            exp = tuple(exp)
-            if len(exp) != width:
-                raise ValueError("exponent tuple has wrong width")
-            if any(e < 0 for e in exp):
-                raise ValueError("exponents must be nonnegative")
+            key = _pack(table, exp)
             c %= p
             if c:
-                clean[exp] = c
+                clean[key] = c
         self.table = table
-        self.terms = clean
+        self._t = clean
 
     @staticmethod
-    def _raw(table: VarTable, terms: dict) -> SparsePoly:
+    def _raw(table: VarTable, packed: dict) -> SparsePoly:
         poly = object.__new__(SparsePoly)
         poly.table = table
-        poly.terms = terms
+        poly._t = packed
         return poly
+
+    @property
+    def terms(self) -> _TermsView:
+        return _TermsView(self.table, self._t)
 
     @classmethod
     def zero(cls, table: VarTable) -> SparsePoly:
@@ -196,17 +304,14 @@ class SparsePoly:
         c %= table.p
         if not c:
             return cls._raw(table, {})
-        return cls._raw(table, {(0,) * len(table.names): c})
+        return cls._raw(table, {0: c})
 
     @classmethod
     def var(cls, table: VarTable, name: str, power: int = 1) -> SparsePoly:
         if power < 0:
             raise ValueError("variable power must be nonnegative")
-        if power == 0:
-            return cls.const(table, 1)
-        exp = [0] * len(table.names)
-        exp[table.index(name)] = power
-        return cls._raw(table, {tuple(exp): 1})
+        _check_degree(power)
+        return cls._raw(table, {power * table._units[table.index(name)]: 1})
 
     @classmethod
     def monomial(cls, table: VarTable, exps: dict, coeff: int = 1) -> SparsePoly:
@@ -215,118 +320,105 @@ class SparsePoly:
             return cls.zero(table)
         exp = [0] * len(table.names)
         for name, e in exps.items():
-            if e < 0:
-                raise ValueError("exponents must be nonnegative")
             exp[table.index(name)] = e
-        return cls._raw(table, {tuple(exp): coeff})
+        return cls._raw(table, {_pack(table, exp): coeff})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_one(self) -> bool:
-        width = len(self.table.names)
-        return self.terms == {(0,) * width: 1}
+        return self._t == {0: 1}
 
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return ((self.table is other.table or self.table == other.table)
+                and self._t == other._t)
 
     __hash__ = None
 
     def __add__(self, other: SparsePoly) -> SparsePoly:
         _same_table(self, other)
-        p = self.table.p
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = (out.get(exp, 0) + c) % p
+        p = self.table.field.p
+        out = dict(self._t)
+        for key, c in other._t.items():
+            s = (out.get(key, 0) + c) % p
             if s:
-                out[exp] = s
+                out[key] = s
             else:
-                out.pop(exp, None)
+                del out[key]
         return SparsePoly._raw(self.table, out)
 
     def __neg__(self) -> SparsePoly:
-        p = self.table.p
+        p = self.table.field.p
         if p == 2:
             return self
-        return SparsePoly._raw(self.table, {e: -c % p for e, c in self.terms.items()})
+        return SparsePoly._raw(self.table, {k: -c % p for k, c in self._t.items()})
 
     def __sub__(self, other: SparsePoly) -> SparsePoly:
         return self + (-other)
 
     def scaled(self, c: int) -> SparsePoly:
-        p = self.table.p
+        p = self.table.field.p
         c %= p
         if c == 0:
             return SparsePoly.zero(self.table)
         if c == 1:
             return self
-        return SparsePoly._raw(self.table, {e: (v * c) % p for e, v in self.terms.items()})
+        return SparsePoly._raw(self.table, {k: (v * c) % p for k, v in self._t.items()})
 
     def __mul__(self, other: SparsePoly) -> SparsePoly:
         _same_table(self, other)
-        p = self.table.p
+        table = self.table
+        a, b = self._t, other._t
+        if not a or not b:
+            return SparsePoly._raw(table, {})
+        shift = table._deg_shift
+        _check_degree((max(a) >> shift) + (max(b) >> shift))
+        p = table.field.p
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial factor: keys stay distinct, residues stay nonzero
+            ((k2, c2),) = b.items()
+            return SparsePoly._raw(table, {k1 + k2: c1 * c2 % p for k1, c1 in a.items()})
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = (out.get(e, 0) + c1 * c2) % p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SparsePoly._raw(self.table, out)
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return SparsePoly._raw(table, {k: r for k, c in out.items() if (r := c % p)})
 
     def __pow__(self, n: int) -> SparsePoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = SparsePoly.const(self.table, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else SparsePoly.const(self.table, 1)
 
     def lead_term(self):
-        if not self.terms:
+        if not self._t:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        key = max(self._t)
+        return _unpack(self.table, key), self._t[key]
 
     def frobenius(self) -> SparsePoly:
         # c**p = c in GF(p), so only exponents scale
-        p = self.table.p
-        return SparsePoly._raw(
-            self.table,
-            {tuple(e * p for e in exp): c for exp, c in self.terms.items()})
+        table = self.table
+        p = table.p
+        if self._t:
+            _check_degree((max(self._t) >> table._deg_shift) * p)
+        return SparsePoly._raw(table, {k * p: c for k, c in self._t.items()})
 
     def p_root(self) -> SparsePoly | None:
         """p-th root, or None when some exponent is not divisible by p."""
-        p = self.table.p
+        table = self.table
+        p = table.p
         out = {}
-        for exp, c in self.terms.items():
-            if any(e % p for e in exp):
+        for key, c in self._t.items():
+            if any(e % p for e in _unpack(table, key)):
                 return None
-            out[tuple(e // p for e in exp)] = c
-        return SparsePoly._raw(self.table, out)
-
-    def monomial_content(self):
-        width = len(self.table.names)
-        if not self.terms:
-            return (0,) * width
-        mins = None
-        for exp in self.terms:
-            mins = exp if mins is None else tuple(map(min, mins, exp))
-        return mins
-
-    def divided_by_monomial(self, content) -> SparsePoly:
-        return SparsePoly._raw(
-            self.table,
-            {tuple(e - m for e, m in zip(exp, content)): c
-             for exp, c in self.terms.items()})
+            out[key // p] = c
+        return SparsePoly._raw(table, out)
 
     def substituted(self, bindings: dict) -> SparsePoly:
         """Simultaneous substitution of variables by SparsePoly values."""
@@ -336,60 +428,58 @@ class SparsePoly:
             _same_table(self, val)
             idx_bind[table.index(name)] = val
         acc = SparsePoly.zero(table)
-        for exp, c in self.terms.items():
-            residual = list(exp)
+        for key, c in self._t.items():
             pieces = []
             for i, val in idx_bind.items():
-                e = exp[i]
+                e = (key >> table._shifts[i]) & MAX_DEGREE
                 if e:
-                    residual[i] = 0
+                    key -= e * table._units[i]
                     pieces.append(val ** e)
-            term = SparsePoly._raw(table, {tuple(residual): c})
+            term = SparsePoly._raw(table, {key: c})
             for piece in pieces:
                 term = term * piece
             acc = acc + term
         return acc
 
     def is_param_only(self) -> bool:
-        geom = self.table.geom_indices
-        return all(not any(exp[i] for i in geom) for exp in self.terms)
+        mask = self.table._geom_mask
+        return not any(key & mask for key in self._t)
 
     def degree_in(self, name: str) -> int:
-        idx = self.table.index(name)
-        return max((exp[idx] for exp in self.terms), default=0)
+        shift = self.table._shifts[self.table.index(name)]
+        return max(((key >> shift) & MAX_DEGREE for key in self._t), default=0)
 
     def to_json(self, var_names=None) -> list:
-        names = list(var_names) if var_names is not None else list(self.table.names)
-        idxs = [self.table.index(n) for n in names]
+        table = self.table
+        names = list(var_names) if var_names is not None else list(table.names)
+        idxs = [table.index(n) for n in names]
         allowed = set(idxs)
+        outside = sum(MAX_DEGREE << s for i, s in enumerate(table._shifts)
+                      if i not in allowed)
         out = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            if any(e and i not in allowed for i, e in enumerate(exp)):
+        for key in sorted(self._t, reverse=True):
+            if key & outside:
                 raise ValueError("term uses a variable outside the serialised list")
-            out.append({"coeff": self.terms[exp], "exponents": [exp[i] for i in idxs]})
+            exp = _unpack(table, key)
+            out.append({"coeff": self._t[key], "exponents": [exp[i] for i in idxs]})
         return out
 
     @classmethod
     def from_json(cls, table: VarTable, data, var_names=None) -> SparsePoly:
         names = list(var_names) if var_names is not None else list(table.names)
         idxs = [table.index(n) for n in names]
-        terms = {}
-        for item in data:
-            exp = [0] * len(table.names)
-            for pos, e in zip(idxs, item["exponents"]):
-                exp[pos] = e
-            terms[tuple(exp)] = item["coeff"]
-        return cls(table, terms)
+        return cls(table, {_spread(table, idxs, item["exponents"]): item["coeff"]
+                           for item in data})
 
     def __str__(self):
-        if not self.terms:
+        if not self._t:
             return "0"
         names = self.table.names
         parts = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[exp]
+        for key in sorted(self._t, reverse=True):
+            c = self._t[key]
             factors = [f"{names[i]}^{e}" if e > 1 else names[i]
-                       for i, e in enumerate(exp) if e]
+                       for i, e in enumerate(_unpack(self.table, key)) if e]
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -402,12 +492,60 @@ class SparsePoly:
         return f"SparsePoly({self})"
 
 
+def _spread(table: VarTable, idxs, exponents) -> tuple:
+    """Full-width exponent tuple from the exponents of the listed slots."""
+    if len(exponents) != len(idxs):
+        raise ValueError(f"expected {len(idxs)} exponents, got {len(exponents)}")
+    exp = [0] * len(table.names)
+    for pos, e in zip(idxs, exponents):
+        exp[pos] = e
+    return tuple(exp)
+
+
+def _content_key(table: VarTable, keys: list) -> int:
+    """Packed key of the largest monomial dividing every key given."""
+    used = 0
+    for key in keys:
+        used |= key
+    content = 0
+    for shift, unit in zip(table._shifts, table._units):
+        if (used >> shift) & MAX_DEGREE:
+            content += min((key >> shift) & MAX_DEGREE for key in keys) * unit
+    return content
+
+
+def _normalised(num: SparsePoly, den: SparsePoly):
+    """Strip the common monomial factor and make the denominator monic."""
+    table = num.table
+    nt, dt = num._t, den._t
+    if not nt:
+        return num, SparsePoly._raw(table, {0: 1})
+    if 0 not in nt and 0 not in dt:
+        common = _content_key(table, [*nt, *dt])
+        if common:
+            nt = {k - common: c for k, c in nt.items()}
+            dt = {k - common: c for k, c in dt.items()}
+            num = SparsePoly._raw(table, nt)
+            den = SparsePoly._raw(table, dt)
+    lc = dt[max(dt)]
+    if lc != 1:
+        inv = table.field.inv(lc)
+        num = num.scaled(inv)
+        den = den.scaled(inv)
+    return num, den
+
+
 class ParamRational:
     """Quotient of parameter-only sparse polynomials.
 
     The denominator is never zero.  Equality is tested by cross
     multiplication, so the light normalisation here (strip a common
     monomial factor, monic denominator) is cosmetic, not semantic.
+
+    The constructor, ``from_json`` and ``substituted`` validate that both
+    parts involve parameters only.  Arithmetic results are built by
+    ``_make`` without that check: sums, products, powers and p-th roots
+    of parameter-only polynomials are parameter-only.
     """
 
     __slots__ = ("num", "den")
@@ -421,20 +559,15 @@ class ParamRational:
             raise ZeroDenominatorError("denominator is zero")
         if not (num.is_param_only() and den.is_param_only()):
             raise ValueError("rational coefficients must involve parameters only")
-        if num.is_zero():
-            den = SparsePoly.const(table, 1)
-        else:
-            common = tuple(map(min, num.monomial_content(), den.monomial_content()))
-            if any(common):
-                num = num.divided_by_monomial(common)
-                den = den.divided_by_monomial(common)
-            _, lc = den.lead_term()
-            if lc != 1:
-                inv = table.field.inv(lc)
-                num = num.scaled(inv)
-                den = den.scaled(inv)
-        self.num = num
-        self.den = den
+        self.num, self.den = _normalised(num, den)
+
+    @staticmethod
+    def _make(num: SparsePoly, den: SparsePoly) -> ParamRational:
+        """Unvalidated construction from parameter-only parts over one
+        table with a nonzero denominator."""
+        value = object.__new__(ParamRational)
+        value.num, value.den = _normalised(num, den)
+        return value
 
     @property
     def table(self) -> VarTable:
@@ -457,7 +590,7 @@ class ParamRational:
         return cls(SparsePoly.var(table, name, power))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num._t
 
     def is_one(self) -> bool:
         return self.num == self.den
@@ -467,38 +600,38 @@ class ParamRational:
 
     def __add__(self, other: ParamRational) -> ParamRational:
         _same_table(self.num, other.num)
-        if self.den == other.den:
-            return ParamRational(self.num + other.num, self.den)
-        return ParamRational(self.num * other.den + other.num * self.den,
-                             self.den * other.den)
+        if self.den._t == other.den._t:
+            return ParamRational._make(self.num + other.num, self.den)
+        return ParamRational._make(self.num * other.den + other.num * self.den,
+                                   self.den * other.den)
 
     def __neg__(self) -> ParamRational:
-        return ParamRational(-self.num, self.den)
+        return ParamRational._make(-self.num, self.den)
 
     def __sub__(self, other: ParamRational) -> ParamRational:
         return self + (-other)
 
     def __mul__(self, other: ParamRational) -> ParamRational:
         _same_table(self.num, other.num)
-        return ParamRational(self.num * other.num, self.den * other.den)
+        return ParamRational._make(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: ParamRational) -> ParamRational:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational")
-        return ParamRational(self.num * other.den, self.den * other.num)
+        return ParamRational._make(self.num * other.den, self.den * other.num)
 
     def inverse(self) -> ParamRational:
         if self.is_zero():
             raise ZeroDivisionError("zero rational has no inverse")
-        return ParamRational(self.den, self.num)
+        return ParamRational._make(self.den, self.num)
 
     def scaled(self, c: int) -> ParamRational:
-        return ParamRational(self.num.scaled(c), self.den)
+        return ParamRational._make(self.num.scaled(c), self.den)
 
     def __pow__(self, n: int) -> ParamRational:
         if n < 0:
             return self.inverse() ** (-n)
-        return ParamRational(self.num ** n, self.den ** n)
+        return ParamRational._make(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -506,14 +639,14 @@ class ParamRational:
         if not isinstance(other, ParamRational):
             return NotImplemented
         _same_table(self.num, other.num)
-        if self.den.terms == other.den.terms:
-            return self.num.terms == other.num.terms
-        return self.num * other.den == other.num * self.den
+        if self.den._t == other.den._t:
+            return self.num._t == other.num._t
+        return (self.num * other.den)._t == (other.num * self.den)._t
 
     __hash__ = None
 
     def frobenius(self) -> ParamRational:
-        return ParamRational(self.num.frobenius(), self.den.frobenius())
+        return ParamRational._make(self.num.frobenius(), self.den.frobenius())
 
     def p_root(self) -> ParamRational | None:
         """p-th root, or None when the value is not a p-th power.
@@ -526,7 +659,7 @@ class ParamRational:
         root = prod.p_root()
         if root is None:
             return None
-        return ParamRational(root, self.den)
+        return ParamRational._make(root, self.den)
 
     def substituted(self, bindings: dict) -> ParamRational:
         num = self.num.substituted(bindings)
@@ -556,7 +689,7 @@ class ParamRational:
 
 def _as_rational(table: VarTable, value) -> ParamRational:
     if isinstance(value, ParamRational):
-        if value.table != table:
+        if value.table is not table and value.table != table:
             raise TableMismatchError("mismatched variable tables")
         return value
     if isinstance(value, SparsePoly):
@@ -644,7 +777,7 @@ class GeomPoly:
     @classmethod
     def coerce(cls, table: VarTable, value) -> GeomPoly:
         if isinstance(value, GeomPoly):
-            if value.table != table:
+            if value.table is not table and value.table != table:
                 raise TableMismatchError("mismatched variable tables")
             return value
         return cls.const(table, value)
@@ -655,14 +788,14 @@ class GeomPoly:
         parameter-polynomial coefficients."""
         table = poly.table
         grouped: dict = {}
-        for exp, c in poly.terms.items():
-            gexp = tuple(e if i in table.geom_indices else 0
-                         for i, e in enumerate(exp))
-            pexp = tuple(e if i in table.param_indices else 0
-                         for i, e in enumerate(exp))
-            grouped.setdefault(gexp, {})[pexp] = c
+        geom_mask = table._geom_mask
+        for key, c in poly._t.items():
+            gkey = key & geom_mask
+            gdeg = sum(_unpack(table, gkey))
+            gkey |= gdeg << table._deg_shift
+            grouped.setdefault(gkey, {})[key - gkey] = c
         return cls._raw(table, {
-            g: ParamRational(SparsePoly._raw(table, ts))
+            _unpack(table, g): ParamRational(SparsePoly._raw(table, ts))
             for g, ts in grouped.items()})
 
     def to_sparse(self) -> SparsePoly:
@@ -674,13 +807,16 @@ class GeomPoly:
         for exp, c in self.terms.items():
             if not c.den.is_one():
                 raise ValueError("polynomial has a nontrivial denominator")
-            for pexp, pc in c.num.terms.items():
-                key = tuple(a + b for a, b in zip(exp, pexp))
+            gkey = _pack(table, exp)
+            for pkey, pc in c.num._t.items():
+                key = gkey + pkey
                 s = (acc.get(key, 0) + pc) % p
                 if s:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
+        if acc:
+            _check_degree(max(acc) >> table._deg_shift)
         return SparsePoly._raw(table, acc)
 
     def is_zero(self) -> bool:
@@ -694,7 +830,7 @@ class GeomPoly:
     def __eq__(self, other):
         if not isinstance(other, GeomPoly):
             return NotImplemented
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             return False
         if set(self.terms) != set(other.terms):
             return False
@@ -727,7 +863,7 @@ class GeomPoly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 prod = c1 * c2
                 cur = out.get(e)
                 s = prod if cur is None else cur + prod
@@ -746,14 +882,7 @@ class GeomPoly:
     def __pow__(self, n: int) -> GeomPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = GeomPoly.one(self.table)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else GeomPoly.one(self.table)
 
     def lead_term(self):
         if not self.terms:
@@ -873,13 +1002,10 @@ class GeomPoly:
         pnames = [table.names[i] for i in table.param_indices]
         terms = {}
         for item in data:
-            exp = [0] * len(table.names)
-            for pos, e in zip(idxs, item["exponents"]):
-                exp[pos] = e
             coeff = ParamRational(
                 SparsePoly.from_json(table, item["coeff_num"], pnames),
                 SparsePoly.from_json(table, item["coeff_den"], pnames))
-            terms[tuple(exp)] = coeff
+            terms[_spread(table, idxs, item["exponents"])] = coeff
         return cls(table, terms)
 
     def __str__(self):
@@ -938,15 +1064,15 @@ class Derivation:
         table = self.table
         p = table.p
         acc = GeomPoly.zero(table)
-        for exp, c in poly.terms.items():
+        for key, c in poly._t.items():
             for idx, img in self._param:
-                e = exp[idx]
+                e = (key >> table._shifts[idx]) & MAX_DEGREE
                 if not e:
                     continue
                 factor = (e * c) % p
                 if not factor:
                     continue
-                lowered = exp[:idx] + (e - 1,) + exp[idx + 1:]
+                lowered = key - table._units[idx]
                 mono = ParamRational(SparsePoly._raw(table, {lowered: factor}))
                 acc = acc + GeomPoly.const(table, mono) * img
         return acc
@@ -1087,8 +1213,8 @@ def _rescale_params(value, table: VarTable, scale, down: int = 0):
         return tuple(e * scale if i in pidx else e for i, e in enumerate(exp))
 
     if isinstance(value, SparsePoly):
-        return SparsePoly._raw(table, {scale_exp(e): c
-                                       for e, c in value.terms.items()})
+        return SparsePoly._raw(table, {_pack(table, scale_exp(_unpack(table, k))): c
+                                       for k, c in value._t.items()})
     if isinstance(value, ParamRational):
         return ParamRational(_rescale_params(value.num, table, scale, down),
                              _rescale_params(value.den, table, scale, down))

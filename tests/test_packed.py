@@ -1,0 +1,157 @@
+"""Packed monomial keys of SparsePoly: layout, degree limit, validation."""
+
+import pytest
+
+from delpezzo.algebra import (
+    GEOM,
+    MAX_DEGREE,
+    PARAM,
+    GeomPoly,
+    ParamRational,
+    SparsePoly,
+    VarTable,
+    lift_to,
+    parse,
+)
+
+WIDTH = 18
+WIDE = VarTable([f"a{i}" for i in range(4)] + [f"g{i}" for i in range(WIDTH - 4)],
+                [PARAM] * 4 + [GEOM] * (WIDTH - 4))
+
+
+class TestDegreeLimit:
+    def mono(self, table, **exps):
+        exp = [0] * len(table.names)
+        for name, e in exps.items():
+            exp[table.index(name)] = e
+        return tuple(exp)
+
+    def test_constructor(self):
+        ok = SparsePoly(WIDE, {self.mono(WIDE, g0=MAX_DEGREE): 1})
+        assert ok.degree_in("g0") == MAX_DEGREE
+        split = SparsePoly(WIDE, {self.mono(WIDE, a0=65000, g13=535): 1})
+        assert split.lead_term()[0] == self.mono(WIDE, a0=65000, g13=535)
+        with pytest.raises(OverflowError):
+            SparsePoly(WIDE, {self.mono(WIDE, g0=MAX_DEGREE + 1): 1})
+        with pytest.raises(OverflowError):
+            SparsePoly(WIDE, {self.mono(WIDE, a0=65000, g13=536): 1})
+        with pytest.raises(OverflowError):
+            SparsePoly.var(WIDE, "g0", MAX_DEGREE + 1)
+
+    def test_product(self):
+        x = SparsePoly.var(WIDE, "g0")
+        y = SparsePoly.var(WIDE, "g1")
+        top = SparsePoly.var(WIDE, "g0", MAX_DEGREE - 1) * x
+        assert top.lead_term()[0] == self.mono(WIDE, g0=MAX_DEGREE)
+        with pytest.raises(OverflowError):
+            top * x
+        with pytest.raises(OverflowError):
+            top * (y + SparsePoly.const(WIDE, 1))
+        with pytest.raises(OverflowError):
+            x ** (MAX_DEGREE + 1)
+        assert (x ** MAX_DEGREE) == top
+
+    def test_frobenius(self):
+        half = SparsePoly.var(WIDE, "g0", (MAX_DEGREE + 1) // 2)
+        below = SparsePoly.var(WIDE, "g0", (MAX_DEGREE + 1) // 2 - 1)
+        assert below.frobenius().degree_in("g0") == MAX_DEGREE - 1
+        with pytest.raises(OverflowError):
+            half.frobenius()
+        t3 = VarTable(["a", "x"], [PARAM, GEOM], p=3)
+        assert SparsePoly.var(t3, "x", MAX_DEGREE // 3).frobenius().degree_in("x") == MAX_DEGREE
+        with pytest.raises(OverflowError):
+            SparsePoly.var(t3, "x", MAX_DEGREE // 3 + 1).frobenius()
+
+    def test_to_sparse(self):
+        geom = GeomPoly.var(WIDE, "g0", MAX_DEGREE)
+        assert geom.to_sparse() == SparsePoly.var(WIDE, "g0", MAX_DEGREE)
+        with pytest.raises(OverflowError):
+            geom.scaled(ParamRational.var(WIDE, "a0")).to_sparse()
+
+    def test_lift_to(self):
+        deep = WIDE.root_extend(1)
+        half = (MAX_DEGREE + 1) // 2
+        assert lift_to(SparsePoly.var(WIDE, "a0", half - 1), deep).degree_in("a0") == MAX_DEGREE - 1
+        with pytest.raises(OverflowError):
+            lift_to(SparsePoly.var(WIDE, "a0", half), deep)
+        with pytest.raises(OverflowError):
+            lift_to(ParamRational.var(WIDE, "a1", half), deep)
+
+
+def test_param_rational_rejects_geometric_variable():
+    with pytest.raises(ValueError):
+        ParamRational(SparsePoly.var(WIDE, "g0"))
+    with pytest.raises(ValueError):
+        ParamRational(SparsePoly.const(WIDE, 1), SparsePoly.var(WIDE, "g3"))
+
+
+def test_terms_view_is_tuple_keyed_and_read_only():
+    f = SparsePoly.var(WIDE, "a0") * SparsePoly.var(WIDE, "g1") + SparsePoly.const(WIDE, 1)
+    key = tuple(1 if i in (0, 5) else 0 for i in range(WIDTH))
+    assert set(f.terms) == {key, (0,) * WIDTH}
+    assert f.terms[key] == 1 and len(f.terms) == 2
+    assert (1,) * 3 not in f.terms
+    with pytest.raises(TypeError):
+        f.terms[key] = 0
+    assert SparsePoly(WIDE, f.terms) == f
+
+
+def count_products(monkeypatch, cls):
+    calls = []
+    inner = cls.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return inner(a, b)
+    monkeypatch.setattr(cls, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_power_makes_minimal_products(monkeypatch, n):
+    expected = n.bit_length() - 1 + bin(n).count("1") - 1
+    t = VarTable(["a", "x", "y"], [PARAM, GEOM, GEOM])
+    sparse = SparsePoly.var(t, "x") + SparsePoly.var(t, "a")
+    geom = parse(t, "x + a*y")
+    reference = {cls: cls.__mul__ for cls in (SparsePoly, GeomPoly)}
+    for cls, base in ((SparsePoly, sparse), (GeomPoly, geom)):
+        slow = base
+        for _ in range(n - 1):
+            slow = reference[cls](slow, base)
+        calls = count_products(monkeypatch, cls)
+        assert base ** n == slow
+        assert len(calls) == expected
+        monkeypatch.undo()
+
+
+class TestStrictJson:
+    t = VarTable(["a0", "a1", "x1", "x2"], [PARAM, PARAM, GEOM, GEOM])
+
+    @pytest.mark.parametrize("exponents", [[1], [1, 0, 0], []])
+    def test_sparse_wrong_length(self, exponents):
+        data = [{"coeff": 1, "exponents": exponents}]
+        with pytest.raises(ValueError):
+            SparsePoly.from_json(self.t, data, ["a0", "a1"])
+
+    @pytest.mark.parametrize("exponents", [[1], [1, 0, 0]])
+    def test_geom_wrong_length(self, exponents):
+        data = [{"coeff_num": [{"coeff": 1, "exponents": [0, 0]}],
+                 "coeff_den": [{"coeff": 1, "exponents": [0, 0]}],
+                 "exponents": exponents}]
+        with pytest.raises(ValueError):
+            GeomPoly.from_json(self.t, data)
+
+    def test_geom_coefficient_wrong_length(self):
+        data = [{"coeff_num": [{"coeff": 1, "exponents": [0, 0, 1]}],
+                 "coeff_den": [{"coeff": 1, "exponents": [0, 0]}],
+                 "exponents": [1, 0]}]
+        with pytest.raises(ValueError):
+            GeomPoly.from_json(self.t, data)
+
+    def test_round_trip(self):
+        f = parse(self.t, "a0^3*x1^2 + a1*x2 + x1*x2 + 1")
+        g = f.scaled(ParamRational(SparsePoly.var(self.t, "a1"),
+                                   SparsePoly.var(self.t, "a0") + SparsePoly.const(self.t, 1)))
+        assert GeomPoly.from_json(self.t, g.to_json()) == g
+        s = f.to_sparse()
+        assert SparsePoly.from_json(self.t, s.to_json()) == s
