@@ -14,17 +14,11 @@ from .algebra import (
     TableMismatchError,
     VarTable,
     ZeroDenominatorError,
-    derive,
     exact_divide,
-    frobenius,
     lift_to,
     parse,
-    poly_mul,
     project_to,
-    rational_eq,
-    root_extend,
     root_monomial,
-    substitute,
 )
 from .numerics import (
     INFEASIBLE,

@@ -5,15 +5,6 @@ The value model has three layers:
 * ``SparsePoly``: a sparse polynomial over GF(p) in the variables of one
   ``VarTable``, stored as a canonical map from packed monomial keys to
   nonzero residues.  Dict equality therefore decides polynomial equality.
-  A key is one int: a ``FIELD_BITS``-bit field per variable (the table's
-  first variable most significant) with the total degree in the field
-  above them, so integer order is the graded lexicographic order, a
-  product of monomials is a sum of keys and the Frobenius map multiplies
-  keys by p (after Monagan and Pearce, "Polynomial Division Using Dynamic
-  Arrays, Heaps, and Packed Exponent Vectors", CASC 2007).  Total degrees
-  are limited to ``MAX_DEGREE`` = 65535; a result beyond it raises
-  ``OverflowError`` and never wraps.  The public constructor and
-  ``from_json`` take exponent tuples and validate them.
 * ``ParamRational``: a quotient of two parameter-only sparse polynomials.
   Equality is decided by cross multiplication, which is exact because the
   polynomial ring is an integral domain.  Normalisation only strips a
@@ -23,7 +14,23 @@ The value model has three layers:
   parameter-only; ring operations skip the check, since they cannot leave
   the parameter subring.
 * ``GeomPoly``: a polynomial in the geometric variables whose coefficients
-  are ``ParamRational`` values, keyed by exponent tuples.
+  are ``ParamRational`` values, on the same packed keys with every
+  parameter field zero.
+
+Both polynomial types share one monomial layout, known only to this
+module.  A key is one int: a ``FIELD_BITS``-bit field per variable (the
+table's first variable most significant) with the total degree in the
+field above them, so integer order is the graded lexicographic order, a
+product of monomials is a sum of keys, a quotient of monomials is a
+difference of keys and the Frobenius map multiplies keys by p (after
+Monagan and Pearce, "Polynomial Division Using Dynamic Arrays, Heaps, and
+Packed Exponent Vectors", CASC 2007).  Total degrees are limited to
+``MAX_DEGREE`` = 65535; a result beyond it raises ``OverflowError`` and
+never wraps.  Outside this module monomials are exponent tuples: the
+public constructors and ``from_json`` take them and validate them, and
+``terms`` is a read-only view keyed by them.  ``rewrite`` applies
+monomial rewrite rules to a fixpoint, and ``strip_common_monomial``
+divides polynomials by their common monomial factor.
 
 All values are immutable after construction and every operation is a pure
 function, so values may be shared freely between threads.
@@ -42,14 +49,14 @@ canonical forms and quotients are reproducible.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import add
 
 PARAM = "param"
 GEOM = "geom"
 
-# packed monomial layout of SparsePoly: one field per variable
+# packed monomial layout: one field per variable, an unsigned short to struct
 FIELD_BITS = 16
 MAX_DEGREE = (1 << FIELD_BITS) - 1
 
@@ -90,14 +97,8 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -114,15 +115,18 @@ class VarTable:
     symbol denotes the p^k-th root of its depth-0 value, so the depth-0
     parameter equals symbol**(p**k).
 
-    The table also holds the constants of the packed monomial layout used
-    by ``SparsePoly``: the bit offset of each variable's field, the offset
-    of the total-degree field above them, the key of each single variable
-    and the mask of the geometric fields.
+    The table also holds the constants of the packed monomial layout: the
+    bit offset of each variable's field, the offset of the total-degree
+    field above them, the key of each single variable, the masks of the
+    geometric and of the parameter fields, the lowest bit of every field
+    that a lower field borrows from when it underflows, and the struct
+    that reads a key's fields as big-endian bytes, degree first.
     """
 
     __slots__ = ("names", "kinds", "field", "root_depth",
                  "_index", "param_indices", "geom_indices",
-                 "_shifts", "_deg_shift", "_units", "_geom_mask")
+                 "_shifts", "_deg_shift", "_units", "_geom_mask", "_param_mask",
+                 "_borrows", "_layout")
 
     def __init__(self, names, kinds, p: int = 2, root_depth: int = 0):
         names = tuple(names)
@@ -148,6 +152,9 @@ class VarTable:
         self._deg_shift = FIELD_BITS * width
         self._units = tuple((1 << s) | (1 << self._deg_shift) for s in self._shifts)
         self._geom_mask = sum(MAX_DEGREE << self._shifts[i] for i in self.geom_indices)
+        self._param_mask = sum(MAX_DEGREE << self._shifts[i] for i in self.param_indices)
+        self._borrows = sum(1 << s for s in self._shifts[:-1]) | (1 << self._deg_shift)
+        self._layout = struct.Struct(f">{width + 1}H")
 
     @property
     def p(self) -> int:
@@ -186,16 +193,12 @@ def _same_table(a, b) -> None:
         raise TableMismatchError("mismatched variable tables")
 
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
-
-
 def _pack(table: VarTable, exp) -> int:
     """Packed key of an exponent tuple, validating width, sign and degree."""
     exp = tuple(exp)
     if len(exp) != len(table.names):
         raise ValueError("exponent tuple has wrong width")
-    if any(e < 0 for e in exp):
+    if min(exp, default=0) < 0:
         raise ValueError("exponents must be nonnegative")
     deg = sum(exp)
     _check_degree(deg)
@@ -205,13 +208,36 @@ def _pack(table: VarTable, exp) -> int:
     return key
 
 
+def _pack_named(table: VarTable, exps: dict) -> int:
+    """Packed key of a monomial given as variable name -> exponent; an
+    exponent past the degree limit shows in the unbounded degree field."""
+    key = 0
+    for name, e in exps.items():
+        if e < 0:
+            raise ValueError("exponents must be nonnegative")
+        key += e * table._units[table.index(name)]
+    _check_degree(key >> table._deg_shift)
+    return key
+
+
 def _unpack(table: VarTable, key: int) -> tuple:
-    return tuple((key >> s) & MAX_DEGREE for s in table._shifts)
+    layout = table._layout
+    return layout.unpack(key.to_bytes(layout.size, "big"))[1:]
 
 
 def _check_degree(deg: int) -> None:
     if deg > MAX_DEGREE:
         raise OverflowError(f"total degree {deg} exceeds {MAX_DEGREE}")
+
+
+def _divided_key(table: VarTable, key: int, by: int) -> int | None:
+    """key - by when the monomial ``by`` divides ``key``, else None: a
+    field of ``by`` larger than the same field of ``key`` borrows from the
+    lowest bit of the field above, which key ^ by ^ (key - by) shows."""
+    step = key - by
+    if step < 0 or (key ^ by ^ step) & table._borrows:
+        return None
+    return step
 
 
 def _power(base, n: int):
@@ -250,28 +276,123 @@ class _TermsView(Mapping):
     def __len__(self):
         return len(self._t)
 
+    def items(self):
+        """The (exponent tuple, coefficient) pairs as a list, unpacking
+        each key once."""
+        table = self._table
+        return [(_unpack(table, key), c) for key, c in self._t.items()]
+
     def __repr__(self):
         return repr(dict(self.items()))
 
 
-class SparsePoly:
-    """Canonical sparse polynomial over GF(p) in the table's variables.
+class _TermMap:
+    """What ``SparsePoly`` and ``GeomPoly`` share: a table and a map
+    ``_t`` from packed monomial keys to nonzero coefficients.
 
-    Terms map packed monomial keys to nonzero residues.  A key holds one
-    ``FIELD_BITS``-wide field per variable, the table's first variable
-    most significant, and the total degree in a field above them, so
-    integer order on keys is the graded lexicographic order and the
-    product of monomials is the sum of their keys.  Every total degree,
-    and so every exponent, is at most ``MAX_DEGREE``; an operation whose
-    result would exceed it raises ``OverflowError`` instead of wrapping.
-
-    The constructor takes a map from exponent tuples to integers and
-    validates width, signs and the degree limit; ``terms`` is a read-only
-    view keyed by exponent tuples.  Internal operations build results
-    directly from packed keys through ``_raw``.
+    Results are built directly from packed keys through ``_raw``; the
+    public constructors validate exponent tuples instead.
     """
 
     __slots__ = ("table", "_t")
+
+    @classmethod
+    def _raw(cls, table: VarTable, packed: dict):
+        poly = object.__new__(cls)
+        poly.table = table
+        poly._t = packed
+        return poly
+
+    @classmethod
+    def zero(cls, table: VarTable):
+        return cls._raw(table, {})
+
+    @property
+    def terms(self) -> _TermsView:
+        return _TermsView(self.table, self._t)
+
+    def is_zero(self) -> bool:
+        return not self._t
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        return _power(self, n) if n else self.const(self.table, 1)
+
+    def lead_term(self):
+        if not self._t:
+            raise ValueError("zero polynomial has no leading term")
+        key = max(self._t)
+        return _unpack(self.table, key), self._t[key]
+
+    def _substitute_keys(self, bound: dict, terms):
+        """Sum of the (key, coefficient) terms with each variable index in
+        ``bound`` replaced by its value."""
+        table = self.table
+        acc = self._raw(table, {})
+        for key, c in terms:
+            pieces = []
+            for i, val in bound.items():
+                e = (key >> table._shifts[i]) & MAX_DEGREE
+                if e:
+                    key -= e * table._units[i]
+                    pieces.append(val ** e)
+            term = self._raw(table, {key: c})
+            for piece in pieces:
+                term = term * piece
+            acc = acc + term
+        return acc
+
+    def degree_in(self, name: str) -> int:
+        shift = self.table._shifts[self.table.index(name)]
+        return max(((key >> shift) & MAX_DEGREE for key in self._t), default=0)
+
+    def _json_rows(self, names) -> list:
+        """(coefficient, exponents of ``names``) per term, largest first."""
+        table = self.table
+        idxs = [table.index(n) for n in names]
+        allowed = set(idxs)
+        outside = sum(MAX_DEGREE << s for i, s in enumerate(table._shifts)
+                      if i not in allowed)
+        rows = []
+        for key in sorted(self._t, reverse=True):
+            if key & outside:
+                raise ValueError("term uses a variable outside the serialised list")
+            exp = _unpack(table, key)
+            rows.append((self._t[key], [exp[i] for i in idxs]))
+        return rows
+
+    def __str__(self):
+        if not self._t:
+            return "0"
+        names = self.table.names
+        parts = []
+        for key in sorted(self._t, reverse=True):
+            c = self._t[key]
+            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
+                       for i, e in enumerate(_unpack(self.table, key)) if e]
+            if factors and self._unit_coeff(c):
+                parts.append("*".join(factors))
+            else:
+                parts.append("*".join([self._coeff_text(c)] + factors))
+        return " + ".join(parts)
+
+
+class SparsePoly(_TermMap):
+    """Canonical sparse polynomial over GF(p) in the table's variables.
+
+    Terms map packed monomial keys to nonzero residues.  Every total
+    degree, and so every exponent, is at most ``MAX_DEGREE``; an operation
+    whose result would exceed it raises ``OverflowError`` instead of
+    wrapping.  The constructor takes a map from exponent tuples to
+    integers and validates width, signs and the degree limit; ``terms`` is
+    a read-only view keyed by exponent tuples.
+    """
+
+    __slots__ = ()
 
     def __init__(self, table: VarTable, terms=()):
         p = table.p
@@ -283,21 +404,6 @@ class SparsePoly:
                 clean[key] = c
         self.table = table
         self._t = clean
-
-    @staticmethod
-    def _raw(table: VarTable, packed: dict) -> SparsePoly:
-        poly = object.__new__(SparsePoly)
-        poly.table = table
-        poly._t = packed
-        return poly
-
-    @property
-    def terms(self) -> _TermsView:
-        return _TermsView(self.table, self._t)
-
-    @classmethod
-    def zero(cls, table: VarTable) -> SparsePoly:
-        return cls._raw(table, {})
 
     @classmethod
     def const(cls, table: VarTable, c: int) -> SparsePoly:
@@ -318,13 +424,7 @@ class SparsePoly:
         coeff %= table.p
         if not coeff:
             return cls.zero(table)
-        exp = [0] * len(table.names)
-        for name, e in exps.items():
-            exp[table.index(name)] = e
-        return cls._raw(table, {_pack(table, exp): coeff})
-
-    def is_zero(self) -> bool:
-        return not self._t
+        return cls._raw(table, {_pack_named(table, exps): coeff})
 
     def is_one(self) -> bool:
         return self._t == {0: 1}
@@ -334,8 +434,6 @@ class SparsePoly:
             return NotImplemented
         return ((self.table is other.table or self.table == other.table)
                 and self._t == other._t)
-
-    __hash__ = None
 
     def __add__(self, other: SparsePoly) -> SparsePoly:
         _same_table(self, other)
@@ -354,9 +452,6 @@ class SparsePoly:
         if p == 2:
             return self
         return SparsePoly._raw(self.table, {k: -c % p for k, c in self._t.items()})
-
-    def __sub__(self, other: SparsePoly) -> SparsePoly:
-        return self + (-other)
 
     def scaled(self, c: int) -> SparsePoly:
         p = self.table.field.p
@@ -390,17 +485,6 @@ class SparsePoly:
                 out[k] = get(k, 0) + c1 * c2
         return SparsePoly._raw(table, {k: r for k, c in out.items() if (r := c % p)})
 
-    def __pow__(self, n: int) -> SparsePoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return _power(self, n) if n else SparsePoly.const(self.table, 1)
-
-    def lead_term(self):
-        if not self._t:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self._t)
-        return _unpack(self.table, key), self._t[key]
-
     def frobenius(self) -> SparsePoly:
         # c**p = c in GF(p), so only exponents scale
         table = self.table
@@ -427,42 +511,15 @@ class SparsePoly:
         for name, val in bindings.items():
             _same_table(self, val)
             idx_bind[table.index(name)] = val
-        acc = SparsePoly.zero(table)
-        for key, c in self._t.items():
-            pieces = []
-            for i, val in idx_bind.items():
-                e = (key >> table._shifts[i]) & MAX_DEGREE
-                if e:
-                    key -= e * table._units[i]
-                    pieces.append(val ** e)
-            term = SparsePoly._raw(table, {key: c})
-            for piece in pieces:
-                term = term * piece
-            acc = acc + term
-        return acc
+        return self._substitute_keys(idx_bind, self._t.items())
 
     def is_param_only(self) -> bool:
         mask = self.table._geom_mask
         return not any(key & mask for key in self._t)
 
-    def degree_in(self, name: str) -> int:
-        shift = self.table._shifts[self.table.index(name)]
-        return max(((key >> shift) & MAX_DEGREE for key in self._t), default=0)
-
     def to_json(self, var_names=None) -> list:
-        table = self.table
-        names = list(var_names) if var_names is not None else list(table.names)
-        idxs = [table.index(n) for n in names]
-        allowed = set(idxs)
-        outside = sum(MAX_DEGREE << s for i, s in enumerate(table._shifts)
-                      if i not in allowed)
-        out = []
-        for key in sorted(self._t, reverse=True):
-            if key & outside:
-                raise ValueError("term uses a variable outside the serialised list")
-            exp = _unpack(table, key)
-            out.append({"coeff": self._t[key], "exponents": [exp[i] for i in idxs]})
-        return out
+        names = list(var_names) if var_names is not None else list(self.table.names)
+        return [{"coeff": c, "exponents": exps} for c, exps in self._json_rows(names)]
 
     @classmethod
     def from_json(cls, table: VarTable, data, var_names=None) -> SparsePoly:
@@ -471,22 +528,11 @@ class SparsePoly:
         return cls(table, {_spread(table, idxs, item["exponents"]): item["coeff"]
                            for item in data})
 
-    def __str__(self):
-        if not self._t:
-            return "0"
-        names = self.table.names
-        parts = []
-        for key in sorted(self._t, reverse=True):
-            c = self._t[key]
-            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
-                       for i, e in enumerate(_unpack(self.table, key)) if e]
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
-        return " + ".join(parts)
+    @staticmethod
+    def _unit_coeff(c) -> bool:
+        return c == 1
+
+    _coeff_text = staticmethod(str)
 
     def __repr__(self):
         return f"SparsePoly({self})"
@@ -595,9 +641,6 @@ class ParamRational:
     def is_one(self) -> bool:
         return self.num == self.den
 
-    def den_is_one(self) -> bool:
-        return self.den.is_one()
-
     def __add__(self, other: ParamRational) -> ParamRational:
         _same_table(self.num, other.num)
         if self.den._t == other.den._t:
@@ -699,44 +742,33 @@ def _as_rational(table: VarTable, value) -> ParamRational:
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
-class GeomPoly:
+class GeomPoly(_TermMap):
     """Polynomial in geometric variables with ``ParamRational`` coefficients.
 
-    Keys are full-width exponent tuples whose parameter slots are zero; no
-    zero coefficient is ever stored.  The ring axioms hold exactly and the
-    Frobenius p-th power is a ring endomorphism.
+    Terms map the packed keys that ``SparsePoly`` uses, with every
+    parameter field zero, to nonzero coefficients, so products are key
+    sums and leading terms are key maxima.  Total degrees are limited to
+    ``MAX_DEGREE`` and a result beyond it raises ``OverflowError``.  The
+    constructor takes exponent tuples and rejects a nonzero parameter
+    slot; ``terms`` is a read-only view keyed by exponent tuples.  The
+    ring axioms hold exactly and the Frobenius p-th power is a ring
+    endomorphism.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ()
 
     def __init__(self, table: VarTable, terms=()):
-        width = len(table.names)
-        pidx = table.param_indices
+        param_mask = table._param_mask
         clean = {}
         for exp, c in dict(terms).items():
-            exp = tuple(exp)
-            if len(exp) != width:
-                raise ValueError("exponent tuple has wrong width")
-            if any(e < 0 for e in exp):
-                raise ValueError("exponents must be nonnegative")
-            if any(exp[i] for i in pidx):
+            key = _pack(table, exp)
+            if key & param_mask:
                 raise ValueError("geometric keys cannot carry parameter exponents")
             c = _as_rational(table, c)
             if not c.is_zero():
-                clean[exp] = c
+                clean[key] = c
         self.table = table
-        self.terms = clean
-
-    @staticmethod
-    def _raw(table: VarTable, terms: dict) -> GeomPoly:
-        poly = object.__new__(GeomPoly)
-        poly.table = table
-        poly.terms = terms
-        return poly
-
-    @classmethod
-    def zero(cls, table: VarTable) -> GeomPoly:
-        return cls._raw(table, {})
+        self._t = clean
 
     @classmethod
     def one(cls, table: VarTable) -> GeomPoly:
@@ -747,7 +779,7 @@ class GeomPoly:
         c = _as_rational(table, value)
         if c.is_zero():
             return cls._raw(table, {})
-        return cls._raw(table, {(0,) * len(table.names): c})
+        return cls._raw(table, {0: c})
 
     @classmethod
     def var(cls, table: VarTable, name: str, power: int = 1) -> GeomPoly:
@@ -756,23 +788,19 @@ class GeomPoly:
             return cls.const(table, ParamRational.var(table, name, power))
         if power < 0:
             raise ValueError("variable power must be nonnegative")
-        if power == 0:
-            return cls.one(table)
-        exp = [0] * len(table.names)
-        exp[table.index(name)] = power
-        return cls._raw(table, {tuple(exp): ParamRational.one(table)})
+        _check_degree(power)
+        return cls._raw(table, {power * table._units[table.index(name)]:
+                                ParamRational.one(table)})
 
     @classmethod
     def monomial(cls, table: VarTable, exps: dict, coeff=1) -> GeomPoly:
         c = _as_rational(table, coeff)
         if c.is_zero():
             return cls.zero(table)
-        exp = [0] * len(table.names)
-        for name, e in exps.items():
+        for name in exps:
             if table.kind(name) != GEOM:
                 raise ValueError(f"{name!r} is not a geometric variable")
-            exp[table.index(name)] = e
-        return cls(table, {tuple(exp): c})
+        return cls._raw(table, {_pack_named(table, exps): c})
 
     @classmethod
     def coerce(cls, table: VarTable, value) -> GeomPoly:
@@ -782,32 +810,15 @@ class GeomPoly:
             return value
         return cls.const(table, value)
 
-    @classmethod
-    def from_sparse(cls, poly: SparsePoly) -> GeomPoly:
-        """Split a mixed sparse polynomial into geometric monomials with
-        parameter-polynomial coefficients."""
-        table = poly.table
-        grouped: dict = {}
-        geom_mask = table._geom_mask
-        for key, c in poly._t.items():
-            gkey = key & geom_mask
-            gdeg = sum(_unpack(table, gkey))
-            gkey |= gdeg << table._deg_shift
-            grouped.setdefault(gkey, {})[key - gkey] = c
-        return cls._raw(table, {
-            _unpack(table, g): ParamRational(SparsePoly._raw(table, ts))
-            for g, ts in grouped.items()})
-
     def to_sparse(self) -> SparsePoly:
         """Expand into a plain sparse polynomial; requires denominator-free
         coefficients."""
         table = self.table
         acc: dict = {}
         p = table.p
-        for exp, c in self.terms.items():
+        for gkey, c in self._t.items():
             if not c.den.is_one():
                 raise ValueError("polynomial has a nontrivial denominator")
-            gkey = _pack(table, exp)
             for pkey, pc in c.num._t.items():
                 key = gkey + pkey
                 s = (acc.get(key, 0) + pc) % p
@@ -819,83 +830,69 @@ class GeomPoly:
             _check_degree(max(acc) >> table._deg_shift)
         return SparsePoly._raw(table, acc)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_one(self) -> bool:
-        width = len(self.table.names)
-        key = (0,) * width
-        return set(self.terms) == {key} and self.terms[key].is_one()
+        return self._t.keys() == {0} and self._t[0].is_one()
 
     def __eq__(self, other):
         if not isinstance(other, GeomPoly):
             return NotImplemented
         if self.table is not other.table and self.table != other.table:
             return False
-        if set(self.terms) != set(other.terms):
+        if self._t.keys() != other._t.keys():
             return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    __hash__ = None
+        return all(c == other._t[k] for k, c in self._t.items())
 
     def __add__(self, other: GeomPoly) -> GeomPoly:
         _same_table(self, other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            cur = out.get(exp)
+        out = dict(self._t)
+        for key, c in other._t.items():
+            cur = out.get(key)
             s = c if cur is None else cur + c
             if s.is_zero():
-                out.pop(exp, None)
+                out.pop(key, None)
             else:
-                out[exp] = s
+                out[key] = s
         return GeomPoly._raw(self.table, out)
 
     def __neg__(self) -> GeomPoly:
         if self.table.p == 2:
             return self
-        return GeomPoly._raw(self.table, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: GeomPoly) -> GeomPoly:
-        return self + (-other)
+        return GeomPoly._raw(self.table, {k: -c for k, c in self._t.items()})
 
     def __mul__(self, other: GeomPoly) -> GeomPoly:
         _same_table(self, other)
+        table = self.table
+        a, b = self._t, other._t
+        if not a or not b:
+            return GeomPoly._raw(table, {})
+        shift = table._deg_shift
+        _check_degree((max(a) >> shift) + (max(b) >> shift))
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
                 prod = c1 * c2
-                cur = out.get(e)
+                cur = get(k)
                 s = prod if cur is None else cur + prod
                 if s.is_zero():
-                    out.pop(e, None)
+                    out.pop(k, None)
                 else:
-                    out[e] = s
-        return GeomPoly._raw(self.table, out)
+                    out[k] = s
+        return GeomPoly._raw(table, out)
 
     def scaled(self, c) -> GeomPoly:
         c = _as_rational(self.table, c)
         if c.is_zero():
             return GeomPoly.zero(self.table)
-        return GeomPoly._raw(self.table, {e: v * c for e, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> GeomPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return _power(self, n) if n else GeomPoly.one(self.table)
-
-    def lead_term(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        return GeomPoly._raw(self.table, {k: v * c for k, v in self._t.items()})
 
     def frobenius(self) -> GeomPoly:
-        p = self.table.p
-        return GeomPoly._raw(
-            self.table,
-            {tuple(e * p for e in exp): c.frobenius()
-             for exp, c in self.terms.items()})
+        table = self.table
+        p = table.p
+        if self._t:
+            _check_degree((max(self._t) >> table._deg_shift) * p)
+        return GeomPoly._raw(table, {k * p: c.frobenius() for k, c in self._t.items()})
 
     def partial(self, name: str) -> GeomPoly:
         """Formal partial derivative with respect to a geometric variable."""
@@ -904,15 +901,13 @@ class GeomPoly:
         if table.kinds[idx] != GEOM:
             raise ValueError(f"{name!r} is not a geometric variable")
         p = table.p
+        shift, unit = table._shifts[idx], table._units[idx]
         out = {}
-        for exp, c in self.terms.items():
-            e = exp[idx]
-            if not e:
-                continue
-            factor = e % p
+        for key, c in self._t.items():
+            factor = ((key >> shift) & MAX_DEGREE) % p
             if not factor:
                 continue
-            lowered = exp[:idx] + (e - 1,) + exp[idx + 1:]
+            lowered = key - unit
             nc = c.scaled(factor)
             cur = out.get(lowered)
             s = nc if cur is None else cur + nc
@@ -940,96 +935,103 @@ class GeomPoly:
                     raise ValueError(
                         "parameter substitution value must be a polynomial")
                 param_bind[name] = c.num
-        out = GeomPoly.zero(table)
-        for exp, coeff in self.terms.items():
-            c = coeff.substituted(param_bind) if param_bind else coeff
-            if c.is_zero():
-                continue
-            residual = list(exp)
-            factors = []
-            for idx, val in geom_bind.items():
-                e = exp[idx]
-                if e:
-                    residual[idx] = 0
-                    factors.append(val ** e)
-            term = GeomPoly._raw(table, {tuple(residual): c})
-            for f in factors:
-                term = term * f
-            out = out + term
-        return out
+        terms = self._t.items()
+        if param_bind:
+            terms = [(k, c.substituted(param_bind)) for k, c in terms]
+            terms = [(k, c) for k, c in terms if not c.is_zero()]
+        return self._substitute_keys(geom_bind, terms)
 
     def as_param_rational(self) -> ParamRational:
-        if not self.terms:
+        if not self._t:
             return ParamRational.zero(self.table)
-        width = len(self.table.names)
-        key = (0,) * width
-        if set(self.terms) != {key}:
+        if self._t.keys() != {0}:
             raise ValueError("polynomial is not constant in the geometry")
-        return self.terms[key]
+        return self._t[0]
 
     def coefficient(self, exps: dict) -> ParamRational:
-        exp = [0] * len(self.table.names)
-        for name, e in exps.items():
-            exp[self.table.index(name)] = e
-        return self.terms.get(tuple(exp), ParamRational.zero(self.table))
-
-    def degree_in(self, name: str) -> int:
-        idx = self.table.index(name)
-        return max((exp[idx] for exp in self.terms), default=0)
+        return self._t.get(_pack_named(self.table, exps),
+                           ParamRational.zero(self.table))
 
     def to_json(self, var_names=None) -> list:
         table = self.table
         names = (list(var_names) if var_names is not None
                  else [table.names[i] for i in table.geom_indices])
-        idxs = [table.index(n) for n in names]
-        allowed = set(idxs)
         pnames = [table.names[i] for i in table.param_indices]
-        out = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            if any(e and i not in allowed for i, e in enumerate(exp)):
-                raise ValueError("term uses a variable outside the serialised list")
-            c = self.terms[exp]
-            out.append({"coeff_num": c.num.to_json(pnames),
-                        "coeff_den": c.den.to_json(pnames),
-                        "exponents": [exp[i] for i in idxs]})
-        return out
+        return [{"coeff_num": c.num.to_json(pnames),
+                 "coeff_den": c.den.to_json(pnames),
+                 "exponents": exps}
+                for c, exps in self._json_rows(names)]
 
     @classmethod
     def from_json(cls, table: VarTable, data, var_names=None) -> GeomPoly:
         names = (list(var_names) if var_names is not None
                  else [table.names[i] for i in table.geom_indices])
         idxs = [table.index(n) for n in names]
-        pnames = [table.names[i] for i in table.param_indices]
-        terms = {}
-        for item in data:
-            coeff = ParamRational(
-                SparsePoly.from_json(table, item["coeff_num"], pnames),
-                SparsePoly.from_json(table, item["coeff_den"], pnames))
-            terms[_spread(table, idxs, item["exponents"])] = coeff
-        return cls(table, terms)
+        return cls(table, {
+            _spread(table, idxs, item["exponents"]): ParamRational.from_json(
+                table, {"num": item["coeff_num"], "den": item["coeff_den"]})
+            for item in data})
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        names = self.table.names
-        parts = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[exp]
-            factors = [f"{names[i]}^{e}" if e > 1 else names[i]
-                       for i, e in enumerate(exp) if e]
-            cs = str(c)
-            needs_parens = (" " in cs or "/" in cs)
-            if not factors:
-                parts.append(f"({cs})" if needs_parens else cs)
-            elif c.is_one():
-                parts.append("*".join(factors))
-            else:
-                head = f"({cs})" if needs_parens else cs
-                parts.append("*".join([head] + factors))
-        return " + ".join(parts)
+    @staticmethod
+    def _unit_coeff(c) -> bool:
+        return c.is_one()
+
+    @staticmethod
+    def _coeff_text(c) -> str:
+        cs = str(c)
+        return f"({cs})" if " " in cs or "/" in cs else cs
 
     def __repr__(self):
         return f"GeomPoly({self})"
+
+
+def strip_common_monomial(polys: list[GeomPoly]) -> list[GeomPoly]:
+    """The polynomials divided by the largest monomial dividing every term
+    of every one of them (all over one table)."""
+    if not polys:
+        return polys
+    table = polys[0].table
+    common = _content_key(table, [key for g in polys for key in g._t])
+    if not common:
+        return polys
+    return [GeomPoly._raw(table, {k - common: c for k, c in g._t.items()})
+            for g in polys]
+
+
+def rewrite(f: GeomPoly, rules) -> GeomPoly:
+    """Apply monomial rewrite rules until no rule applies.
+
+    ``rules`` is a sequence of (lhs, rhs) pairs: a monomial with
+    coefficient one and its replacement polynomial.  Each step takes the
+    first term of the current polynomial, in its term order, that some
+    lhs divides, and the first such rule in the order given, and replaces
+    c*m*lhs by (c*m)*rhs.  The rules must strictly lower some
+    well-founded measure, or the loop does not end.
+    """
+    table = f.table
+    packed = []
+    for lhs, rhs in rules:
+        terms = list(lhs._t.items())
+        if len(terms) != 1 or not terms[0][1].is_one():
+            raise ValueError("a rewrite rule must start from a monomial")
+        packed.append((terms[0][0], rhs))
+    while True:
+        redex = _first_redex(f, packed)
+        if redex is None:
+            return f
+        key, step, rhs = redex
+        c = f._t[key]
+        f = f - GeomPoly._raw(table, {key: c}) + GeomPoly._raw(table, {step: c}) * rhs
+
+
+def _first_redex(f: GeomPoly, packed: list):
+    table = f.table
+    for key in f._t:
+        for lhs, rhs in packed:
+            step = _divided_key(table, key, lhs)
+            if step is not None:
+                return key, step, rhs
+    return None
 
 
 class Derivation:
@@ -1094,53 +1096,19 @@ class Derivation:
         table = self.table
         p = table.p
         acc = GeomPoly.zero(table)
-        for exp, coeff in f.terms.items():
+        for key, coeff in f._t.items():
             for idx, img in self._geom:
-                e = exp[idx]
-                if not e:
-                    continue
-                factor = e % p
+                factor = ((key >> table._shifts[idx]) & MAX_DEGREE) % p
                 if not factor:
                     continue
-                lowered = exp[:idx] + (e - 1,) + exp[idx + 1:]
-                term = GeomPoly._raw(table, {lowered: coeff.scaled(factor)})
+                term = GeomPoly._raw(table, {key - table._units[idx]: coeff.scaled(factor)})
                 acc = acc + term * img
             if self._param:
                 dc = self._apply_rational(coeff)
                 if not dc.is_zero():
                     acc = acc + dc * GeomPoly._raw(
-                        table, {exp: ParamRational.one(table)})
+                        table, {key: ParamRational.one(table)})
         return acc
-
-
-def poly_mul(a: GeomPoly, b: GeomPoly) -> GeomPoly:
-    """Exact product of two polynomials over one table."""
-    return a * b
-
-
-def frobenius(f):
-    """p-th power of a polynomial or rational value."""
-    return f.frobenius()
-
-
-def substitute(f: GeomPoly, bindings: dict) -> GeomPoly:
-    """Simultaneous substitution of geometric or parameter variables."""
-    return f.substituted(bindings)
-
-
-def derive(delta: Derivation, f: GeomPoly) -> GeomPoly:
-    """Image of f under the derivation, by the Leibniz rule."""
-    return delta(f)
-
-
-def rational_eq(a: ParamRational, b: ParamRational) -> bool:
-    """Exact equality by cross multiplication."""
-    return a == b
-
-
-def root_extend(table: VarTable, depth: int) -> VarTable:
-    """Table whose parameter symbols denote p^depth-th roots."""
-    return table.root_extend(depth)
 
 
 def exact_divide(f: GeomPoly, g: GeomPoly) -> GeomPoly | None:
@@ -1154,15 +1122,16 @@ def exact_divide(f: GeomPoly, g: GeomPoly) -> GeomPoly | None:
         raise ZeroDivisionError("division by the zero polynomial")
     _same_table(f, g)
     table = f.table
-    g_exp, g_c = g.lead_term()
+    g_key = max(g._t)
+    g_c = g._t[g_key]
     quotient: dict = {}
     r = f
-    while not r.is_zero():
-        r_exp, r_c = r.lead_term()
-        step = tuple(a - b for a, b in zip(r_exp, g_exp))
-        if any(e < 0 for e in step):
+    while r._t:
+        r_key = max(r._t)
+        step = _divided_key(table, r_key, g_key)
+        if step is None:
             return None
-        c = r_c / g_c
+        c = r._t[r_key] / g_c
         quotient[step] = c
         r = r - GeomPoly._raw(table, {step: c}) * g
     return GeomPoly._raw(table, quotient)
@@ -1174,53 +1143,48 @@ def lift_to(value, table: VarTable):
     A parameter exponent e becomes e * p^(depth difference): the depth-k
     symbol raised to p^k is the depth-0 parameter.
     """
-    src = value.table
-    if (src.names, src.kinds, src.p) != (table.names, table.kinds, table.p):
-        raise TableMismatchError("tables differ in more than root depth")
-    shift = table.root_depth - src.root_depth
+    shift = _depth_shift(value.table, table)
     if shift < 0:
         raise RootDepthError("target table is shallower; use project_to")
-    scale = src.p ** shift
-    return _rescale_params(value, table, scale)
+    return _rescale_params(value, table, table.p ** shift)
 
 
 def project_to(value, table: VarTable):
     """Inverse of lift_to; fails when an exponent is not divisible."""
-    src = value.table
+    shift = _depth_shift(value.table, table)
+    if shift > 0:
+        raise RootDepthError("target table is deeper; use lift_to")
+    return _rescale_params(value, table, 1, down=table.p ** -shift)
+
+
+def _depth_shift(src: VarTable, table: VarTable) -> int:
     if (src.names, src.kinds, src.p) != (table.names, table.kinds, table.p):
         raise TableMismatchError("tables differ in more than root depth")
-    shift = src.root_depth - table.root_depth
-    if shift < 0:
-        raise RootDepthError("target table is deeper; use lift_to")
-    return _rescale_params(value, table, 1, down=src.p ** shift)
+    return table.root_depth - src.root_depth
 
 
-def _rescale_params(value, table: VarTable, scale, down: int = 0):
-    pidx = set(table.param_indices)
-
-    def scale_exp(exp):
-        if down:
-            out = []
-            for i, e in enumerate(exp):
-                if i in pidx:
-                    if e % down:
-                        raise RootDepthError(
-                            "expression does not descend to the shallower table")
-                    out.append(e // down)
-                else:
-                    out.append(e)
-            return tuple(out)
-        return tuple(e * scale if i in pidx else e for i, e in enumerate(exp))
-
+def _rescale_params(value, table: VarTable, scale: int, down: int = 1):
+    """The value over ``table`` with each parameter exponent e replaced by
+    e * scale / down; a field past the degree limit shows in the
+    unbounded degree field."""
     if isinstance(value, SparsePoly):
-        return SparsePoly._raw(table, {_pack(table, scale_exp(_unpack(table, k))): c
-                                       for k, c in value._t.items()})
+        out = {}
+        for key, c in value._t.items():
+            for i in table.param_indices:
+                e = (key >> table._shifts[i]) & MAX_DEGREE
+                if e % down:
+                    raise RootDepthError(
+                        "expression does not descend to the shallower table")
+                key += (e * scale // down - e) * table._units[i]
+            _check_degree(key >> table._deg_shift)
+            out[key] = c
+        return SparsePoly._raw(table, out)
     if isinstance(value, ParamRational):
         return ParamRational(_rescale_params(value.num, table, scale, down),
                              _rescale_params(value.den, table, scale, down))
     if isinstance(value, GeomPoly):
-        return GeomPoly._raw(table, {e: _rescale_params(c, table, scale, down)
-                                     for e, c in value.terms.items()})
+        return GeomPoly._raw(table, {k: _rescale_params(c, table, scale, down)
+                                     for k, c in value._t.items()})
     raise TypeError(f"cannot rescale {type(value).__name__}")
 
 

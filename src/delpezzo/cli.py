@@ -4,7 +4,8 @@ Subcommands:
 
 * ``verify``: run a named suite of exact checks and report pass/fail,
   optionally as JSON.  Exit code 0 means every check passed, 1 means some
-  check failed, 2 means the invocation itself was invalid.
+  check failed, 2 means the invocation itself was invalid, 3 means an
+  internal arithmetic error stopped the computation (one line on stderr).
 * ``feasibility``: emit the (d, q) feasibility table for a prime p as CSV
   or a JSON summary of the minimal irregularity per degree.
 * ``presentation``: emit the verified quotient chart presentation as JSON.
@@ -98,7 +99,12 @@ def _emit(text: str, out: str | None) -> None:
 
 def run_verify(args) -> int:
     started = time.perf_counter()
-    checks = suite_checks(args.suite, args.chart)
+    try:
+        checks = suite_checks(args.suite, args.chart)
+    except ArithmeticError as exc:
+        print(f"error: suite {args.suite} stopped on an internal arithmetic "
+              f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     elapsed = time.perf_counter() - started
     failed = [c for c in checks if not c.passed]
     if args.json:

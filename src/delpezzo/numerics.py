@@ -166,8 +166,6 @@ def solve_q1(p_max: int = 13, m_max: int = 20, d_max: int = 100) -> list[tuple[i
             continue
         for m in range(1, m_max + 1):
             for e in (0, 1):
-                if not field_degree_divides(p, p ** e):
-                    continue
                 for d in range(1, d_max + 1):
                     if _sum_term(p, m, d) == p ** e:
                         solutions.append((p, m, e, d))

@@ -29,6 +29,8 @@ from .algebra import (
     ParamRational,
     VarTable,
     exact_divide,
+    rewrite,
+    strip_common_monomial,
 )
 from .reports import CheckResult, check
 
@@ -114,14 +116,6 @@ class ModuleVector:
 
     __hash__ = None
 
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        return ModuleVector(self.ring, tuple(
-            self.ring.reduce(a + b) for a, b in zip(self.coords, other.coords)))
-
-    def scaled(self, s: GeomPoly) -> "ModuleVector":
-        return ModuleVector(self.ring, tuple(
-            self.ring.reduce(c * s) for c in self.coords))
-
     def as_mixed_poly(self) -> GeomPoly:
         acc = GeomPoly.zero(self.ring.table)
         for slot, c in enumerate(self.coords):
@@ -149,21 +143,16 @@ def to_module_vector(f: GeomPoly, ring: BaseRingS) -> ModuleVector:
     """Coordinates of f in the square-free basis, rewriting x_m^2 -> u_m."""
     table = ring.table
     x_idx = tuple(table.index(n) for n in ring.x_names)
-    u_idx = tuple(table.index(n) for n in ring.u_names)
     foreign = [i for i in table.geom_indices if i not in x_idx]
     coords = [GeomPoly.zero(table) for _ in range(8)]
     for exp, c in f.terms.items():
         if any(exp[i] for i in foreign):
             raise ValueError("expected a polynomial in the chart coordinates")
-        key = [0] * len(table.names)
-        bits = []
-        for pos in range(3):
-            e = exp[x_idx[pos]]
-            if e & 1:
-                bits.append(pos)
-            key[u_idx[pos]] = e >> 1
-        slot = _SLOT_OF[tuple(bits)]
-        coords[slot] = coords[slot] + GeomPoly._raw(table, {tuple(key): c})
+        x_exps = [exp[i] for i in x_idx]
+        slot = _SLOT_OF[tuple(pos for pos, e in enumerate(x_exps) if e & 1)]
+        u_part = GeomPoly.monomial(
+            table, {u: e >> 1 for u, e in zip(ring.u_names, x_exps)}, c)
+        coords[slot] = coords[slot] + u_part
     return ModuleVector(ring, tuple(ring.reduce(c) for c in coords))
 
 
@@ -342,15 +331,7 @@ def _clear_denominators(coords, ring: BaseRingS) -> ModuleVector:
         out.append(ring.reduce(num))
     # tidy by the common monomial factor and a leading unit; both are
     # invertible scalings over Frac(S), so the kernel property is kept
-    content = None
-    for g in out:
-        for exp in g.terms:
-            content = exp if content is None else tuple(map(min, content, exp))
-    if content is not None and any(content):
-        out = [GeomPoly._raw(ring.table,
-                             {tuple(e - m for e, m in zip(exp, content)): v
-                              for exp, v in g.terms.items()})
-               for g in out]
+    out = strip_common_monomial(out)
     lead = next((g for g in out if not g.is_zero()), None)
     if lead is not None:
         _, lc = lead.lead_term()
@@ -405,12 +386,17 @@ class Presentation:
                    relations=relations, embedding=embedding, table=table)
 
 
-def t_rewrite_rules(pres: Presentation) -> dict:
-    """Rewrite rules sending each bare quadratic t-monomial to its
-    S-linear normal form, read off from the relations."""
+def t_rewrite_rules(pres: Presentation) -> list:
+    """Rules for ``rewrite`` sending each bare quadratic t-monomial to its
+    S-linear normal form, read off from the relations.
+
+    The rules are ordered by their t-pairs (0,0), (0,1), ..., (2,2), so
+    the first rule dividing a monomial pairs its first t with itself when
+    that t is squared and else with the next t it carries.
+    """
     table = pres.table
     t_idx = [table.index(n) for n in pres.t_names]
-    rules = {}
+    by_pair = {}
     for rel in pres.relations.values():
         quads = [(exp, c) for exp, c in rel.terms.items()
                  if sum(exp[i] for i in t_idx) == 2]
@@ -421,65 +407,47 @@ def t_rewrite_rules(pres: Presentation) -> dict:
             continue
         pair = tuple(sorted(pos for pos, i in enumerate(t_idx)
                             for _ in range(exp[i])))
-        rest = rel - GeomPoly._raw(table, {exp: c})
-        rules[pair] = (-rest).scaled(c.inverse())
-    return rules
+        rest = rel - GeomPoly(table, {exp: c})
+        by_pair[pair] = (GeomPoly(table, {exp: 1}), (-rest).scaled(c.inverse()))
+    return [by_pair[pair] for pair in sorted(by_pair)]
 
 
-def normal_form(f: GeomPoly, pres: Presentation, rules: dict | None = None) -> GeomPoly:
+def normal_form(f: GeomPoly, pres: Presentation, rules: list | None = None) -> GeomPoly:
     """Rewrite every monomial of t-degree >= 2 until none remains.
 
     Each step removes one monomial of t-degree d and inserts monomials of
     t-degree at most d - 1, so the multiset of t-degrees strictly
     decreases and the loop terminates.  The result is the unique S-linear
     combination of 1, t_a, t_b, t_c representing f in the quotient ring.
+    A monomial of t-degree >= 2 that no rule reduces raises ValueError.
     """
     if rules is None:
         rules = t_rewrite_rules(pres)
-    table = pres.table
-    t_idx = [table.index(n) for n in pres.t_names]
-    cur = f
-    while True:
-        target = None
-        for exp in cur.terms:
+    nf = rewrite(f, rules)
+    if len(rules) < 6:
+        # the rules start from distinct t-pairs; with all six, every
+        # monomial of t-degree >= 2 has been reduced
+        t_idx = [pres.table.index(n) for n in pres.t_names]
+        for exp in nf.terms:
             if sum(exp[i] for i in t_idx) >= 2:
-                target = exp
-                break
-        if target is None:
-            return cur
-        c = cur.terms[target]
-        positions = [pos for pos, i in enumerate(t_idx) if target[i] > 0]
-        if target[t_idx[positions[0]]] >= 2:
-            pair = (positions[0], positions[0])
-        else:
-            pair = (positions[0], positions[1])
-        try:
-            rhs = rules[pair]
-        except KeyError:
-            raise ValueError(f"no rewrite rule for the t-pair {pair}") from None
-        lowered = list(target)
-        lowered[t_idx[pair[0]]] -= 1
-        lowered[t_idx[pair[1]]] -= 1
-        stub = GeomPoly._raw(table, {tuple(lowered): c})
-        cur = cur - GeomPoly._raw(table, {target: c}) + stub * rhs
+                raise ValueError(f"no rewrite rule reduces the t-monomial {exp}")
+    return nf
 
 
-def t_coordinates(f: GeomPoly, pres: Presentation, rules: dict | None = None):
+def t_coordinates(f: GeomPoly, pres: Presentation, rules: list | None = None):
     """Normal form split into its four S-coordinates on 1, t_a, t_b, t_c."""
     nf = normal_form(f, pres, rules)
     table = pres.table
-    t_idx = [table.index(n) for n in pres.t_names]
+    names = table.names
     coords = [GeomPoly.zero(table) for _ in range(4)]
     for exp, c in nf.terms.items():
-        carriers = [pos for pos, i in enumerate(t_idx) if exp[i]]
-        if not carriers:
-            slot, key = 0, exp
-        else:
-            slot = 1 + carriers[0]
-            key = list(exp)
-            key[t_idx[carriers[0]]] = 0
-            key = tuple(key)
-        coords[slot] = coords[slot] + GeomPoly._raw(table, {key: c})
+        exps = {names[i]: e for i, e in enumerate(exp) if e}
+        slot = 0
+        for pos, t in enumerate(pres.t_names):
+            if exps.pop(t, 0):
+                slot = 1 + pos
+                break
+        coords[slot] = coords[slot] + GeomPoly.monomial(table, exps, c)
     return tuple(coords)
 
 
@@ -492,60 +460,59 @@ def jacobian_minors(relations, var_names, size: int, pres: Presentation | None =
     """
     if size < 1 or size > min(len(relations), len(var_names)):
         raise ValueError("minor size exceeds the Jacobian")
-    table = relations[0].table
+    zero = GeomPoly.zero(relations[0].table)
     jac = [[rel.partial(v) for v in var_names] for rel in relations]
     rules = t_rewrite_rules(pres) if pres is not None else None
     cache: dict = {}
-
-    def det(rows, cols):
-        key = (rows, cols)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        if len(rows) == 1:
-            val = jac[rows[0]][cols[0]]
-        else:
-            val = GeomPoly.zero(table)
-            rest = rows[1:]
-            for k in range(len(cols)):
-                entry = jac[rows[0]][cols[k]]
-                if entry.is_zero():
-                    continue
-                sub = det(rest, cols[:k] + cols[k + 1:])
-                if sub.is_zero():
-                    continue
-                term = entry * sub
-                val = val + (term if k % 2 == 0 else -term)
-        cache[key] = val
-        return val
-
     out = []
     for rows in combinations(range(len(relations)), size):
         for cols in combinations(range(len(var_names)), size):
-            minor = det(rows, cols)
+            minor = determinant(jac, zero, rows, cols, cache)
             if rules is not None:
                 minor = normal_form(minor, pres, rules)
             out.append(((rows, cols), minor))
     return out
 
 
-def _det_fraction(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = None
-    for k in range(n):
-        e = m[0][k]
-        if e.is_zero():
-            continue
-        sub = [row[:k] + row[k + 1:] for row in m[1:]]
-        term = e * _det_fraction(sub)
-        if k % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return SFraction.zero(m[0][0].num.table)
-    return acc
+def determinant(mat, zero, rows: tuple | None = None, cols: tuple | None = None,
+                cache: dict | None = None):
+    """Determinant of the square matrix ``mat``, or of its minor on the
+    index tuples ``rows`` and ``cols``, by cofactor expansion along the
+    first row.
+
+    Entries may be any ring values with ``is_zero``, ``*``, ``+`` and
+    unary ``-``.  Subdeterminants are memoised in ``cache`` under (rows,
+    cols), so callers taking many minors of one matrix share one cache.
+    Zero entries and zero subdeterminants are skipped, terms are added in
+    column order, and ``zero`` is returned when no term survives.
+    """
+    if rows is None:
+        rows = cols = tuple(range(len(mat)))
+    if cache is None:
+        cache = {}
+    key = (rows, cols)
+    got = cache.get(key)
+    if got is not None:
+        return got
+    if len(rows) == 1:
+        val = mat[rows[0]][cols[0]]
+    else:
+        val = None
+        for k, col in enumerate(cols):
+            entry = mat[rows[0]][col]
+            if entry.is_zero():
+                continue
+            sub = determinant(mat, zero, rows[1:], cols[:k] + cols[k + 1:], cache)
+            if sub.is_zero():
+                continue
+            term = entry * sub
+            if k % 2:
+                term = -term
+            val = term if val is None else val + term
+        if val is None:
+            val = zero
+    cache[key] = val
+    return val
 
 
 def _solve_span(basis, target, ring: BaseRingS):
@@ -592,13 +559,14 @@ def verify_presentation(pres: Presentation, ring: BaseRingS, delta) -> list[Chec
     claimed = [GeomPoly.one(table)] + [pres.embedding[t] for t in pres.t_names]
     claimed_vecs = [to_module_vector(g, ring) for g in claimed]
     if len(kern) == 4:
+        zero = SFraction.zero(table)
         fwd = _solve_span(kern, claimed_vecs, ring)
-        det_fwd = _det_fraction(fwd) if fwd is not None else None
+        det_fwd = determinant(fwd, zero) if fwd is not None else None
         ok_fwd = det_fwd is not None and not det_fwd.is_zero()
         checks.append(check("span_change_of_basis[kernel_to_claimed]", ok_fwd,
                             f"det={det_fwd}" if det_fwd is not None else "unsolvable"))
         rev = _solve_span(claimed_vecs, kern, ring)
-        det_rev = _det_fraction(rev) if rev is not None else None
+        det_rev = determinant(rev, zero) if rev is not None else None
         ok_rev = det_rev is not None and not det_rev.is_zero()
         checks.append(check("span_change_of_basis[claimed_to_kernel]", ok_rev,
                             f"det={det_rev}" if det_rev is not None else "unsolvable"))

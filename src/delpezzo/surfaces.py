@@ -37,6 +37,7 @@ from .algebra import (
     SparsePoly,
     VarTable,
     exact_divide,
+    rewrite,
     root_monomial,
 )
 from .quotient import (
@@ -45,6 +46,7 @@ from .quotient import (
     alpha_value,
     basis_monomial,
     derivation_matrix,
+    determinant,
     jacobian_minors,
     kernel_basis,
     t_coordinates,
@@ -398,14 +400,6 @@ class CuspReport:
         }
 
 
-def _det3(m):
-    def two(a, b, c, d):
-        return a * d - b * c
-    return (m[0][0] * two(m[1][1], m[1][2], m[2][1], m[2][2])
-            - m[0][1] * two(m[1][0], m[1][2], m[2][0], m[2][2])
-            + m[0][2] * two(m[1][0], m[1][1], m[2][0], m[2][1]))
-
-
 def _cubic_coefficients(poly: GeomPoly, table: VarTable, t_name: str, u_name: str):
     """Split t^2 + c0 + c1 u + c2 u^2 + c3 u^3 into its four u-coefficients."""
     t_idx = table.index(t_name)
@@ -421,21 +415,6 @@ def _cubic_coefficients(poly: GeomPoly, table: VarTable, t_name: str, u_name: st
             raise ArithmeticError("reduction is not a cubic in the curve coordinate")
         coeffs[j] = coeffs[j] + c
     return coeffs
-
-
-def _s_reduced(g: GeomPoly, table: VarTable, curve_rhs: GeomPoly) -> GeomPoly:
-    """Rewrite s^2 -> u (c11 + c13 u^2) to a fixpoint; s-degree drops by
-    two at each step, so this terminates with s-degree at most one."""
-    s_idx = table.index("s")
-    while True:
-        target = next((exp for exp in g.terms if exp[s_idx] >= 2), None)
-        if target is None:
-            return g
-        c = g.terms[target]
-        lowered = list(target)
-        lowered[s_idx] -= 2
-        stub = GeomPoly._raw(table, {tuple(lowered): c})
-        g = g - GeomPoly._raw(table, {target: c}) + stub * curve_rhs
 
 
 def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
@@ -516,9 +495,11 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
         "t3": s.scaled(roots["c31/c11"]) + u1.scaled(roots["c32"]),
     }
     curve_rhs = u1.scaled(c[(1, 1)]) + (u1 ** 3).scaled(c[(1, 3)])
+    # s^2 -> u (c11 + c13 u^2) lowers the s-degree by two at each step
+    s_rule = [(GeomPoly.var(table, "s", 2), curve_rhs)]
     for m in (4, 5, 6):
         g = pres.relations[f"r_{m}"].substituted(locus_subs | t_subs)
-        reduced = _s_reduced(g, table, curve_rhs)
+        reduced = rewrite(g, s_rule)
         out.append(check(f"curve_relation_reduces[r_{m}]", reduced.is_zero(),
                          None if reduced.is_zero() else f"residue={reduced}"))
 
@@ -534,8 +515,9 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
                 for j in (1, 2, 3)]
     b_column = [root_monomial(table, "a0", j) for j in (1, 2, 3)]
     a1_matrix = [[b_column[r]] + a_matrix[r][1:] for r in range(3)]
-    det_a = _det3(a_matrix)
-    det_a1 = _det3(a1_matrix)
+    zero = SparsePoly.zero(table)
+    det_a = determinant(a_matrix, zero)
+    det_a1 = determinant(a1_matrix, zero)
     det_a_r = ParamRational(det_a)
     det_a1_r = ParamRational(det_a1)
     out.append(check("cramer_fourth_power",

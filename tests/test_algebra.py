@@ -20,9 +20,9 @@ from delpezzo.algebra import (
     lift_to,
     parse,
     project_to,
-    rational_eq,
-    root_extend,
+    rewrite,
     root_monomial,
+    strip_common_monomial,
 )
 from randpoly import (
     check_exact_divide_round_trip,
@@ -81,7 +81,7 @@ class TestVarTable:
             parse(t1, "x1") + parse(t2, "x1")
 
     def test_root_extend_keeps_names(self):
-        t3 = root_extend(table(), 3)
+        t3 = table().root_extend(3)
         assert t3.names == table().names and t3.root_depth == 3
 
 
@@ -184,12 +184,11 @@ class TestRationalEq:
     def test_common_factor(self):
         tbl = table()
         a0, a1, a3 = (SparsePoly.var(tbl, n) for n in ("a0", "a1", "a3"))
-        assert rational_eq(ParamRational(a0, a3), ParamRational(a0 * a1, a1 * a3))
+        assert ParamRational(a0, a3) == ParamRational(a0 * a1, a1 * a3)
 
     def test_independent_parameters(self):
         tbl = table()
-        assert not rational_eq(ParamRational.var(tbl, "a0"),
-                               ParamRational.var(tbl, "a1"))
+        assert ParamRational.var(tbl, "a0") != ParamRational.var(tbl, "a1")
 
     def test_depth_two_translation(self):
         # lifting a0/a3 two levels scales exponents by four, and the ratio
@@ -199,10 +198,10 @@ class TestRationalEq:
         lifted = lift_to(ratio, t2)
         quartic = (ParamRational.var(t2, "a0", 4)
                    / ParamRational.var(t2, "a3", 4))
-        assert rational_eq(lifted, quartic)
+        assert lifted == quartic
         root_ratio = (ParamRational(root_monomial(t2, "a0", 1))
                       / ParamRational(root_monomial(t2, "a3", 1)))
-        assert rational_eq(root_ratio * root_ratio, lifted)
+        assert root_ratio * root_ratio == lifted
 
 
 class TestRootExtend:
@@ -256,6 +255,34 @@ class TestExactDivide:
     def test_zero_dividend(self):
         tbl = table()
         assert exact_divide(GeomPoly.zero(tbl), GeomPoly.var(tbl, "u1")).is_zero()
+
+
+class TestRewrite:
+    def test_rewrites_to_a_fixpoint(self):
+        tbl = table()
+        rules = [(parse(tbl, "x1^2"), parse(tbl, "a0*x2"))]
+        assert rewrite(parse(tbl, "x1^5 + x3"), rules) == parse(tbl, "a0^2*x1*x2^2 + x3")
+
+    def test_first_rule_in_order_wins(self):
+        tbl = table()
+        square = (parse(tbl, "x1^2"), parse(tbl, "x3"))
+        mixed = (parse(tbl, "x1*x2"), GeomPoly.zero(tbl))
+        f = parse(tbl, "x1^2*x2")
+        assert rewrite(f, [square, mixed]) == parse(tbl, "x2*x3")
+        assert rewrite(f, [mixed, square]).is_zero()
+
+    @pytest.mark.parametrize("lhs", ["x1 + x2", "a0*x1", "0"])
+    def test_rule_must_start_from_a_monomial(self, lhs):
+        tbl = table()
+        with pytest.raises(ValueError):
+            rewrite(parse(tbl, "x1"), [(parse(tbl, lhs), GeomPoly.one(tbl))])
+
+    def test_strip_common_monomial(self):
+        tbl = table()
+        polys = [parse(tbl, "a0*x1^2*x2 + x1*x2^2"), parse(tbl, "x1*x2*x3")]
+        assert strip_common_monomial(polys) == [parse(tbl, "a0*x1 + x2"), parse(tbl, "x3")]
+        assert strip_common_monomial(polys[:1] + [GeomPoly.one(tbl)]) == \
+            polys[:1] + [GeomPoly.one(tbl)]
 
 
 class TestRandomizedProperties:

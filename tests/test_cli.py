@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+from delpezzo import cli
 from delpezzo.cli import load_presentation, main, suite_checks
 from delpezzo.quotient import BaseRingS, verify_presentation
 from delpezzo.reports import failures
@@ -125,6 +126,16 @@ class TestInProcessEntry:
     def test_main_returns_exit_code(self, capsys):
         assert main(["verify", "--suite", "numerics"]) == 0
         assert "failures=0" in capsys.readouterr().out
+
+    def test_internal_arithmetic_error_exits_three(self, monkeypatch, capsys):
+        def broken():
+            raise ArithmeticError("c11/c13 is not a square at depth 3")
+        monkeypatch.setattr(cli, "cusp_curve", broken)
+        assert main(["verify", "--suite", "cusp", "--json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "ArithmeticError: c11/c13 is not a square" in err
 
     def test_feasibility_to_stdout(self, capsys):
         assert main(["feasibility", "--p", "5", "--d-max", "1", "--q-max", "4",

@@ -62,6 +62,24 @@ class TestDegreeLimit:
         with pytest.raises(OverflowError):
             SparsePoly.var(t3, "x", MAX_DEGREE // 3 + 1).frobenius()
 
+    @pytest.mark.parametrize("cls", [SparsePoly, GeomPoly])
+    def test_both_term_maps_at_the_limit(self, cls):
+        assert cls(WIDE, {self.mono(WIDE, g0=MAX_DEGREE): 1}).degree_in("g0") == MAX_DEGREE
+        with pytest.raises(OverflowError):
+            cls(WIDE, {self.mono(WIDE, g0=65000, g13=536): 1})
+        x = cls.var(WIDE, "g0")
+        top = cls.var(WIDE, "g0", MAX_DEGREE - 1) * x
+        assert top.lead_term()[0] == self.mono(WIDE, g0=MAX_DEGREE)
+        assert x ** MAX_DEGREE == top
+        with pytest.raises(OverflowError):
+            top * cls.var(WIDE, "g1")
+        with pytest.raises(OverflowError):
+            x ** (MAX_DEGREE + 1)
+        t3 = VarTable(["a", "x"], [PARAM, GEOM], p=3)
+        assert cls.var(t3, "x", MAX_DEGREE // 3).frobenius().degree_in("x") == MAX_DEGREE
+        with pytest.raises(OverflowError):
+            cls.var(WIDE, "g0", (MAX_DEGREE + 1) // 2).frobenius()
+
     def test_to_sparse(self):
         geom = GeomPoly.var(WIDE, "g0", MAX_DEGREE)
         assert geom.to_sparse() == SparsePoly.var(WIDE, "g0", MAX_DEGREE)
@@ -94,6 +112,15 @@ def test_terms_view_is_tuple_keyed_and_read_only():
     with pytest.raises(TypeError):
         f.terms[key] = 0
     assert SparsePoly(WIDE, f.terms) == f
+    g = parse(WIDE, "a0*g1 + 1")
+    geom_key = tuple(1 if i == 5 else 0 for i in range(WIDTH))
+    assert set(g.terms) == {geom_key, (0,) * WIDTH}
+    assert g.terms[geom_key] == ParamRational.var(WIDE, "a0") and len(g.terms) == 2
+    with pytest.raises(TypeError):
+        g.terms[geom_key] = ParamRational.one(WIDE)
+    assert GeomPoly(WIDE, g.terms) == g
+    with pytest.raises(ValueError):
+        GeomPoly(WIDE, {key: 1})
 
 
 def count_products(monkeypatch, cls):

@@ -2,13 +2,18 @@
 
 import pytest
 
-from delpezzo.algebra import SparsePoly, _grlex_key, _pack, _unpack
+from delpezzo.algebra import GeomPoly, SparsePoly, _pack, _unpack
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from test_packed import WIDE, WIDTH  # noqa: E402
+
+
+def grlex_key(exp):
+    """Reference graded lexicographic order on exponent tuples."""
+    return (sum(exp), exp)
 
 
 def exps(max_exp):
@@ -26,7 +31,7 @@ def test_pack_round_trip(exp):
 @given(exps(3000), exps(3000))
 def test_integer_order_is_grlex(e1, e2):
     k1, k2 = _pack(WIDE, e1), _pack(WIDE, e2)
-    assert (k1 < k2) == (_grlex_key(e1) < _grlex_key(e2))
+    assert (k1 < k2) == (grlex_key(e1) < grlex_key(e2))
     assert (k1 == k2) == (e1 == e2)
 
 
@@ -43,7 +48,19 @@ def test_product_key_is_sum_of_keys(e1, e2):
 @given(st.lists(exps(40), min_size=1, max_size=6))
 def test_lead_term_and_serialisation_follow_grlex(exp_list):
     f = SparsePoly(WIDE, {e: 1 for e in exp_list})
-    top = max(exp_list, key=_grlex_key)
+    top = max(exp_list, key=grlex_key)
     assert f.lead_term() == (top, 1)
-    ordered = sorted(set(exp_list), key=_grlex_key, reverse=True)
+    ordered = sorted(set(exp_list), key=grlex_key, reverse=True)
     assert [item["exponents"] for item in f.to_json()] == [list(e) for e in ordered]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 40)] * (WIDTH - 4)), min_size=1, max_size=6))
+def test_geom_lead_term_and_serialisation_follow_grlex(geom_exps):
+    # WIDE's first four variables are the parameters
+    exp_list = [(0,) * 4 + e for e in geom_exps]
+    f = GeomPoly(WIDE, {e: 1 for e in exp_list})
+    exp, c = f.lead_term()
+    assert exp == max(exp_list, key=grlex_key) and c.is_one()
+    ordered = sorted(set(exp_list), key=grlex_key, reverse=True)
+    assert [item["exponents"] for item in f.to_json()] == [list(e[4:]) for e in ordered]

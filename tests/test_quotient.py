@@ -246,6 +246,13 @@ class TestNormalForm:
             assert direct == stepwise
 
 
+    def test_missing_rule_is_an_error(self, setup):
+        _, _, _, pres = setup
+        t1 = GeomPoly.var(pres.table, "t1")
+        with pytest.raises(ValueError):
+            normal_form(t1 * t1, pres, rules=[])
+
+
 class TestJacobianMinors:
     def test_single_entries(self, setup):
         _, _, _, pres = setup
