@@ -41,6 +41,7 @@ from .quotient import (
     ModuleVector,
     Presentation,
     derivation_matrix,
+    frobenius_factorization_check,
     jacobian_minors,
     kernel_basis,
     normal_form,
@@ -59,7 +60,6 @@ from .surfaces import (
     check_p_closure,
     cusp_curve,
     field_of_constants_check,
-    frobenius_factorization_check,
     quotient_presentation,
     reducedness_witness,
     singular_locus,

@@ -38,7 +38,6 @@ from .surfaces import (
     check_p_closure,
     cusp_curve,
     field_of_constants_check,
-    frobenius_factorization_check,
     quotient_presentation,
     reducedness_witness,
     singular_locus,
@@ -65,8 +64,6 @@ def suite_checks(suite: str, chart: int) -> list[CheckResult]:
         fol = FoliationSpec.build("deg1", QuadricChart.build(chart))
         _, pres_checks = quotient_presentation(fol)
         checks += prefixed("presentation.", pres_checks)
-        _, tower_checks = frobenius_factorization_check(chart)
-        checks += prefixed("presentation.", tower_checks)
     if suite in ("singular", "all"):
         checks += prefixed("singular.", singular_locus(build_presentation(chart)))
     if suite in ("cusp", "all"):

@@ -14,9 +14,13 @@ mat * v = 0 is rechecked exactly.
 
 ``Presentation`` carries the expected generators, relations and embedding
 of the quotient ring; ``verify_presentation`` certifies them against the
-computed kernel.  ``normal_form`` rewrites away all quadratic monomials in
+computed kernel and, from the same kernel, checks the degree of the
+factorisation tower, so each presentation's matrix and kernel are
+computed once.  ``normal_form`` rewrites away all quadratic monomials in
 the t generators, which terminates because every rewrite strictly lowers
-the t-degree of the monomial it replaces.
+the t-degree of the monomial it replaces.  ``jacobian_minors`` returns the
+minors as computed; ``t_coordinates`` is the one place that puts a minor
+into normal form.
 """
 
 from __future__ import annotations
@@ -69,14 +73,11 @@ class BaseRingS:
         self.t_names = tuple(f"t{m}" for m in self.others)
         self.elim_name = self.u_names[-1]
         a = {i: alpha_value(table, i) for i in range(4)}
-        r0 = GeomPoly.const(table, a[chart])
-        for m in self.others:
-            r0 = r0 + GeomPoly.var(table, f"u{m}").scaled(a[m])
-        self.r0 = r0
         elim = self.others[-1]
         rest = GeomPoly.const(table, a[chart])
         for m in self.others[:-1]:
             rest = rest + GeomPoly.var(table, f"u{m}").scaled(a[m])
+        self.r0 = rest + GeomPoly.var(table, self.elim_name).scaled(a[elim])
         self._elim_binding = {self.elim_name: (-rest).scaled(a[elim].inverse())}
 
     def reduce(self, f: GeomPoly) -> GeomPoly:
@@ -451,27 +452,22 @@ def t_coordinates(f: GeomPoly, pres: Presentation, rules: list | None = None):
     return tuple(coords)
 
 
-def jacobian_minors(relations, var_names, size: int, pres: Presentation | None = None):
+def jacobian_minors(relations, var_names, size: int):
     """All size x size minors of the Jacobian d(relations)/d(vars).
 
-    Returns ((row indices, column indices), minor) pairs; minors are put
-    into normal form when a presentation is supplied.  Subdeterminants are
-    memoised across minors, which keeps the full 4x4 scan cheap.
+    Returns ((row indices, column indices), minor) pairs with the minors
+    as computed, not in normal form (``t_coordinates`` takes them there).
+    Subdeterminants are memoised across minors, which keeps the full 4x4
+    scan cheap.
     """
     if size < 1 or size > min(len(relations), len(var_names)):
         raise ValueError("minor size exceeds the Jacobian")
     zero = GeomPoly.zero(relations[0].table)
     jac = [[rel.partial(v) for v in var_names] for rel in relations]
-    rules = t_rewrite_rules(pres) if pres is not None else None
     cache: dict = {}
-    out = []
-    for rows in combinations(range(len(relations)), size):
-        for cols in combinations(range(len(var_names)), size):
-            minor = determinant(jac, zero, rows, cols, cache)
-            if rules is not None:
-                minor = normal_form(minor, pres, rules)
-            out.append(((rows, cols), minor))
-    return out
+    return [((rows, cols), determinant(jac, zero, rows, cols, cache))
+            for rows in combinations(range(len(relations)), size)
+            for cols in combinations(range(len(var_names)), size)]
 
 
 def determinant(mat, zero, rows: tuple | None = None, cols: tuple | None = None,
@@ -533,6 +529,21 @@ def _solve_span(basis, target, ring: BaseRingS):
     return [[rows[r][nb + j] for j in range(len(target))] for r in range(nb)]
 
 
+def frobenius_factorization_check(ring: BaseRingS, kern) -> tuple[tuple[int, int, int], list[CheckResult]]:
+    """Arithmetic of the factorisation tower: M has rank 8 over S, the
+    derivation kernel ``kern`` has rank 4, so the quotient map has degree
+    8/4 = 2."""
+    bijective = all(
+        c.is_one() if k == slot else c.is_zero()
+        for slot in range(8)
+        for k, c in enumerate(to_module_vector(basis_monomial(ring, slot), ring).coords))
+    degree = 8 // len(kern) if kern else 0
+    return (8, len(kern), degree), [
+        check("module_rank[8]", bijective, "basis maps to unit vectors"),
+        check("kernel_rank[4]", len(kern) == 4, f"rank={len(kern)}"),
+        check("quotient_degree[2]", degree == 2, f"degrees=(8, {len(kern)}, {degree})")]
+
+
 def verify_presentation(pres: Presentation, ring: BaseRingS, delta) -> list[CheckResult]:
     """Certify a presentation against the derivation kernel.
 
@@ -540,7 +551,9 @@ def verify_presentation(pres: Presentation, ring: BaseRingS, delta) -> list[Chec
     embedding; the embedding images are killed by the derivation; the
     computed kernel has rank four and spans the same Frac(S)-subspace as
     the four claimed generators (both change-of-basis determinants are
-    nonzero).
+    nonzero); and the tower checks of ``frobenius_factorization_check``
+    on that same kernel.  The derivation matrix and its kernel are
+    computed once.
     """
     checks = []
     table = pres.table
@@ -570,4 +583,4 @@ def verify_presentation(pres: Presentation, ring: BaseRingS, delta) -> list[Chec
         ok_rev = det_rev is not None and not det_rev.is_zero()
         checks.append(check("span_change_of_basis[claimed_to_kernel]", ok_rev,
                             f"det={det_rev}" if det_rev is not None else "unsolvable"))
-    return checks
+    return checks + frobenius_factorization_check(ring, kern)[1]

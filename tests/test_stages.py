@@ -1,0 +1,125 @@
+"""Each chart stage runs once: one kernel per presentation, one normal form
+per minor and one table per (chart, depth).  Also the negative controls of
+the presentation and singular-locus suites, and a check that every name
+the benchmark's tracer wraps still exists."""
+
+import importlib
+import json
+import os
+import runpy
+
+import pytest
+
+import delpezzo
+from delpezzo import algebra, cli, quotient, surfaces
+from delpezzo.algebra import Derivation, GeomPoly, VarTable
+from delpezzo.quotient import BaseRingS, Presentation, verify_presentation
+from delpezzo.surfaces import (
+    QuadricChart,
+    build_presentation,
+    chart_table,
+    singular_locus,
+)
+
+CHARTS = (0, 1, 2, 3)
+MODULES = (delpezzo, algebra, quotient, surfaces, cli)
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "bench", "tracer.py")
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``quotient.<name>`` in every module namespace that binds it;
+    the returned list gets one entry per call."""
+    orig = getattr(quotient, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+    for mod in MODULES:
+        if vars(mod).get(name) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestStageCounts:
+    @pytest.mark.parametrize("chart", CHARTS)
+    def test_presentation_suite_builds_one_kernel(self, monkeypatch, chart):
+        matrices = count_calls(monkeypatch, "derivation_matrix")
+        kernels = count_calls(monkeypatch, "kernel_basis")
+        checks = cli.suite_checks("presentation", chart)
+        assert checks and all(c.passed for c in checks)
+        assert (len(matrices), len(kernels)) == (1, 1)
+
+    def test_singular_locus_normal_forms_each_minor_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "normal_form")
+        checks = singular_locus(build_presentation(0))
+        assert all(c.passed for c in checks)
+        # the 525 4x4 minors and the 9 t-block 2x2 minors
+        assert len(calls) == 525 + 9
+
+    def test_emit_round_trip_compares_no_distinct_tables(self, monkeypatch, tmp_path):
+        distinct = []
+        orig = VarTable.__eq__
+
+        def eq(self, other):
+            if self is not other:
+                distinct.append((self, other))
+            return orig(self, other)
+        monkeypatch.setattr(VarTable, "__eq__", eq)
+        path = tmp_path / "presentation.json"
+        assert cli.main(["presentation", "--chart", "1", "--out", str(path)]) == 0
+        loaded = cli.load_presentation(json.loads(path.read_text(encoding="utf-8")))
+        assert loaded == build_presentation(1)
+        assert distinct == []
+
+
+class TestTableInterning:
+    def test_same_values_same_table(self):
+        assert chart_table(0) is chart_table(0, 0) is chart_table(i0=0, depth=0)
+        assert chart_table(2, 1) is chart_table(2, depth=1)
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    def test_chart_builders_share_the_table(self, chart):
+        pres = build_presentation(chart)
+        table = QuadricChart.build(chart).table
+        assert pres.table is table
+        assert cli.load_presentation(pres.to_json()).table is table
+
+    def test_different_values_different_tables(self):
+        tables = [chart_table(c, d) for c in CHARTS for d in (0, 1, 3)]
+        assert len({id(t) for t in tables}) == len(tables)
+
+
+class TestNegativeControls:
+    def test_zero_derivation_fails_exactly_the_rank_checks(self):
+        pres = build_presentation(0)
+        ring = BaseRingS(pres.table, 0)
+        checks = verify_presentation(pres, ring, Derivation(pres.table, {}))
+        failed = {c.name: c.witness for c in checks if not c.passed}
+        assert failed == {"kernel_rank": "rank=8",
+                          "kernel_rank[4]": "rank=8",
+                          "quotient_degree[2]": "degrees=(8, 8, 1)"}
+
+    def test_perturbed_relation_breaks_divisibility_by_h(self):
+        pres = build_presentation(0)
+        table = pres.table
+        relations = dict(pres.relations)
+        relations["r_4"] = relations["r_4"] + GeomPoly.var(table, "u1") * GeomPoly.var(table, "t1")
+        bad = Presentation(chart=0, generators=pres.generators, relations=relations,
+                           embedding=pres.embedding, table=table)
+        named = {c.name: c for c in singular_locus(bad)}
+        assert not named["minors_divisible_by_h"].passed
+        assert "failures at" in named["minors_divisible_by_h"].witness
+
+
+def test_tracer_targets_resolve():
+    """Every (module, attribute path) in the tracer's TARGETS names a
+    function in the owner's own namespace, where the tracer looks it up."""
+    tracer = runpy.run_path(TRACER)
+    missing = []
+    for metric, modname, path, _ in tracer["TARGETS"]:
+        owner, attr = tracer["_resolve"](importlib.import_module(f"delpezzo.{modname}"), path)
+        if not callable(owner.__dict__.get(attr)):
+            missing.append((metric, modname, path))
+    assert tracer["TARGETS"] and missing == []

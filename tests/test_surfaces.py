@@ -11,7 +11,7 @@ from delpezzo.algebra import (
     exact_divide,
     parse,
 )
-from delpezzo.quotient import BaseRingS, jacobian_minors
+from delpezzo.quotient import BaseRingS, derivation_matrix, jacobian_minors, kernel_basis
 from delpezzo.reports import failures
 from delpezzo.surfaces import (
     FoliationSpec,
@@ -149,7 +149,10 @@ class TestPresentation:
 
     @pytest.mark.parametrize("i0", CHARTS)
     def test_factorisation_degrees(self, i0):
-        triple, checks = frobenius_factorization_check(i0)
+        fol = FoliationSpec.build("deg1", QuadricChart.build(i0))
+        ring = BaseRingS(fol.chart.table, i0)
+        kern = kernel_basis(derivation_matrix(fol.theta, ring), ring)
+        triple, checks = frobenius_factorization_check(ring, kern)
         assert triple == (8, 4, 2)
         assert not failures(checks)
 
