@@ -4,7 +4,7 @@ Everything here is bookkeeping for a degree-p inseparable cover Z -> X of
 a del Pezzo surface X of anti-canonical degree d = K^2 and irregularity
 q = h^1(O): Riemann-Roch, the Euler characteristic of the pushed-forward
 structure sheaf, the equation tying q_Z to q_X, the resulting feasibility
-region for (d, q), and the brute-force solution of the q = 1 case.  All
+region for (d, q), and the closed-form solution of the q = 1 case.  All
 arithmetic uses arbitrary-precision integers and fractions; a non-integer
 value is reported as infeasible rather than rounded.
 """
@@ -143,21 +143,17 @@ def scan_is_conclusive(p_max: int, m_max: int, d_max: int) -> bool:
     the largest admissible left side p just past the box, no solution can
     hide beyond the box.
     """
-    for p in range(2, p_max + 1):
-        if not is_prime(p):
-            continue
-        if _sum_term(p, 1, d_max + 1) <= p or _sum_term(p, m_max + 1, 1) <= p:
-            return False
-    return True
+    return all(_sum_term(p, 1, d_max + 1) > p and _sum_term(p, m_max + 1, 1) > p
+               for p in range(2, p_max + 1) if is_prime(p))
 
 
 def solve_q1(p_max: int = 13, m_max: int = 20, d_max: int = 100) -> list[tuple[int, int, int, int]]:
-    """All (p, m, e, d) with q_X = 1 forcing q_Z = 0 within the bounds.
-
-    With q_X = 1 the equation collapses to p^e = m p (p-1) d (3+m(2p-1))/12,
-    so the scan is a pure integer comparison; ``scan_is_conclusive`` says
-    whether the bounds already cover every possible solution.
-    """
+    """All (p, m, e, d) with q_X = 1 forcing q_Z = 0 within the bounds, in
+    ascending (p, m, e) order.  The equation collapses to p^e = c d / 12 with
+    c = m p (p-1) (3 + m(2p-1)) > 0, linear and strictly increasing in d, so
+    d = 12 p^e / c is the only candidate: a solution when c divides 12 p^e
+    and d <= d_max.  ``scan_is_conclusive`` says whether the bounds cover
+    every solution."""
     if p_max < 2 or m_max < 1 or d_max < 1:
         raise ValueError("bounds must be at least (2, 1, 1)")
     solutions = []
@@ -165,10 +161,11 @@ def solve_q1(p_max: int = 13, m_max: int = 20, d_max: int = 100) -> list[tuple[i
         if not is_prime(p):
             continue
         for m in range(1, m_max + 1):
+            c = m * p * (p - 1) * (3 + m * (2 * p - 1))
             for e in (0, 1):
-                for d in range(1, d_max + 1):
-                    if _sum_term(p, m, d) == p ** e:
-                        solutions.append((p, m, e, d))
+                d, rem = divmod(12 * p ** e, c)
+                if not rem and 1 <= d <= d_max:
+                    solutions.append((p, m, e, d))
     return solutions
 
 
@@ -220,15 +217,29 @@ class FeasibilityRow:
 
 @dataclass(frozen=True)
 class FeasibilityTable:
+    """(d, q) pairs of a prime p, 1 <= d <= len(q_min_by_d), 1 <= q <= q_max.
+    ``rows`` and ``to_csv`` decide each pair by 6q >= d(p^2 - 1) itself, a
+    route independent of the stored minima that ``to_json`` reports."""
+
     p: int
-    rows: tuple[FeasibilityRow, ...]
+    q_max: int
     q_min_by_d: tuple[int, ...]
 
+    def _cells(self):
+        """(d, q, feasible, attained) in row order: d, then q ascending."""
+        p, n = self.p, self.p * self.p - 1
+        for d in range(1, len(self.q_min_by_d) + 1):
+            for q in range(1, self.q_max + 1):
+                yield d, q, 6 * q >= d * n, p == 2 and (d, q) in ATTAINED
+
+    @property
+    def rows(self) -> tuple[FeasibilityRow, ...]:
+        return tuple(FeasibilityRow(self.p, *cell) for cell in self._cells())
+
     def to_csv(self) -> str:
+        word = {True: "true", False: "false"}
         lines = ["p,d,q,feasible,attained"]
-        for r in self.rows:
-            lines.append(f"{r.p},{r.d},{r.q},{str(r.feasible).lower()},"
-                         f"{str(r.attained).lower()}")
+        lines += [f"{self.p},{d},{q},{word[f]},{word[a]}" for d, q, f, a in self._cells()]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
@@ -239,23 +250,15 @@ def feasibility_region(p: int, d_max: int, q_max: int) -> FeasibilityTable:
     """Tabulate feasibility of (d, q) pairs under 6q >= d(p^2 - 1).
 
     Pure integer comparisons; for p = 2 the attained pairs (1, 1) and
-    (2, 1) are flagged.
+    (2, 1) are flagged.  Rows are built on demand by the table.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if d_max < 1 or q_max < 1:
         raise ValueError("table bounds must be positive")
-    rows = []
-    q_min = []
-    for d in range(1, d_max + 1):
-        n = d * (p * p - 1)
-        q_min.append((n + 5) // 6)
-        for q in range(1, q_max + 1):
-            feasible = 6 * q >= n
-            attained = p == 2 and (d, q) in ATTAINED
-            rows.append(FeasibilityRow(p=p, d=d, q=q,
-                                       feasible=feasible, attained=attained))
-    return FeasibilityTable(p=p, rows=tuple(rows), q_min_by_d=tuple(q_min))
+    n = p * p - 1
+    return FeasibilityTable(p=p, q_max=q_max,
+                            q_min_by_d=tuple((d * n + 5) // 6 for d in range(1, d_max + 1)))
 
 
 def numerics_suite() -> list[CheckResult]:

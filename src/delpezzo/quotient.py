@@ -32,7 +32,6 @@ from .algebra import (
     GeomPoly,
     ParamRational,
     VarTable,
-    exact_divide,
     rewrite,
     strip_common_monomial,
 )
@@ -89,10 +88,6 @@ class BaseRingS:
 
     def eq(self, f: GeomPoly, g: GeomPoly) -> bool:
         return self.reduce(f - g).is_zero()
-
-    def exact_divide(self, f: GeomPoly, g: GeomPoly) -> GeomPoly | None:
-        """Exact quotient in the canonical polynomial coordinates."""
-        return exact_divide(self.reduce(f), self.reduce(g))
 
 
 class ModuleVector:

@@ -1,10 +1,15 @@
 """Integer feasibility engine: worked examples, scans and monotonicity."""
 
+import hashlib
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from delpezzo import cli, numerics
 from delpezzo.numerics import (
     INFEASIBLE,
     DelPezzoParams,
@@ -221,3 +226,96 @@ class TestSmallOps:
 
 def test_numerics_suite_is_green():
     assert not failures(numerics_suite())
+
+
+def brute_force_q1(p_max, m_max, d_max):
+    """Every (p, m, e, d) in the box with m p (p-1) d (3 + m(2p-1)) / 12
+    equal to p^e, found by trying every d with exact fractions."""
+    out = []
+    for p in range(2, p_max + 1):
+        if any(p % k == 0 for k in range(2, p)):
+            continue
+        for m in range(1, m_max + 1):
+            for e in (0, 1):
+                for d in range(1, d_max + 1):
+                    if Fraction(m * p * (p - 1) * d * (3 + m * (2 * p - 1)), 12) == p ** e:
+                        out.append((p, m, e, d))
+    return out
+
+
+# (2, 1, 1) stops just below the d = 2 solution, (2, 1, 2) reaches it
+@pytest.mark.parametrize("box", [(2, 1, 1), (2, 1, 2), (3, 3, 3), (13, 20, 100), (47, 30, 200)])
+def test_solve_q1_matches_brute_force(box):
+    found = solve_q1(*box)
+    assert found == brute_force_q1(*box)
+    for p, m, e, d in found:
+        c = m * p * (p - 1) * (3 + m * (2 * p - 1))
+        assert Fraction(c * d, 12) == p ** e
+
+
+def inequality_rows(p, d_max, q_max):
+    """(p, d, q, feasible, attained) decided row by row by 6q >= d(p^2 - 1)."""
+    return [(p, d, q, 6 * q >= d * (p * p - 1), p == 2 and (d, q) in {(1, 1), (2, 1)})
+            for d in range(1, d_max + 1) for q in range(1, q_max + 1)]
+
+
+# non-square tables catch swapped d and q loops
+@pytest.mark.parametrize("p", [2, 3, 5, 97])
+@pytest.mark.parametrize("d_max, q_max", [(7, 13), (13, 7), (12, 12)])
+def test_feasibility_outputs_match_the_inequality(p, d_max, q_max):
+    table = feasibility_region(p, d_max, q_max)
+    expected = inequality_rows(p, d_max, q_max)
+    assert [(r.p, r.d, r.q, r.feasible, r.attained) for r in table.rows] == expected
+    words = {True: "true", False: "false"}
+    assert table.to_csv() == "p,d,q,feasible,attained\n" + "".join(
+        f"{p},{d},{q},{words[f]},{words[a]}\n" for p, d, q, f, a in expected)
+    assert table.to_json() == {
+        "p": p, "q_min_by_d": [math.ceil(Fraction(d * (p * p - 1), 6))
+                               for d in range(1, d_max + 1)]}
+
+
+class TestNegativeControls:
+    def test_dropped_q1_solution_fails_only_q1_solutions(self, monkeypatch):
+        real = numerics.solve_q1
+        monkeypatch.setattr(numerics, "solve_q1", lambda *bounds: real(*bounds)[:-1])
+        assert [c.name for c in failures(numerics_suite())] == ["q1_solutions"]
+
+    def test_off_by_one_riemann_roch_fails_chi_sum(self, monkeypatch):
+        real = numerics.riemann_roch_chi
+        monkeypatch.setattr(numerics, "riemann_roch_chi", lambda *args: real(*args) + 1)
+        failed = failures(numerics_suite())
+        assert [c.name for c in failed] == ["chi_sum_closed_form"]
+        assert failed[0].witness.startswith("closed form ")
+        assert "disagrees with the direct sum" in failed[0].witness
+
+
+GATE_PATH = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+class TestByteGate:
+    """The numerics outputs keep the sha256 digests recorded for the
+    benchmark's output gate (the file is only read)."""
+
+    @pytest.fixture(scope="class")
+    def gate(self):
+        return json.loads(GATE_PATH.read_text(encoding="utf-8"))
+
+    @staticmethod
+    def stdout_digest(capsys, argv):
+        assert cli.main(argv) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+    def test_verify_numerics_json(self, gate, capsys):
+        argv = ["verify", "--suite", "numerics", "--chart", "0", "--json"]
+        assert self.stdout_digest(capsys, argv) == gate["numerics[0]"]
+
+    def test_solve_q1_bench_box(self, gate):
+        data = json.dumps(solve_q1(100, 60, 300)).encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == gate["solve_q1[100,60,300]"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("p", [2, 3, 61, 97])
+    def test_feasibility_table(self, gate, capsys, p, fmt):
+        argv = ["feasibility", "--p", str(p), "--d-max", "120", "--q-max", "120",
+                "--format", fmt]
+        assert self.stdout_digest(capsys, argv) == gate[f"feasibility[{p},{fmt}]"]
