@@ -9,13 +9,13 @@ The value model has three layers:
   Equality is decided by cross multiplication, which is exact because the
   polynomial ring is an integral domain.  Normalisation only strips a
   common monomial factor and scales the denominator's leading coefficient
-  to one; no multivariate gcd is ever computed.  The constructor,
-  ``from_json`` and ``substituted`` check that both parts are
-  parameter-only; ring operations skip the check, since they cannot leave
-  the parameter subring.
+  to one; no multivariate gcd is ever computed.  The constructor and
+  ``from_json`` check that both parts are parameter-only; ring operations
+  skip the check, since they cannot leave the parameter subring.
 * ``GeomPoly``: a polynomial in the geometric variables whose coefficients
   are ``ParamRational`` values, on the same packed keys with every
-  parameter field zero.
+  parameter field zero.  Its ``substituted`` binds geometric variables
+  only.
 
 Both polynomial types share one monomial layout, known only to this
 module.  A key is one int: a ``FIELD_BITS``-bit field per variable (the
@@ -70,7 +70,7 @@ class RootDepthError(ValueError):
 
 
 class ZeroDenominatorError(ZeroDivisionError):
-    """A substitution or construction produced a zero denominator."""
+    """A ``ParamRational`` was constructed with a zero denominator."""
 
 
 def is_prime(n: int) -> bool:
@@ -328,24 +328,6 @@ class _TermMap:
         key = max(self._t)
         return _unpack(self.table, key), self._t[key]
 
-    def _substitute_keys(self, bound: dict, terms):
-        """Sum of the (key, coefficient) terms with each variable index in
-        ``bound`` replaced by its value."""
-        table = self.table
-        acc = self._raw(table, {})
-        for key, c in terms:
-            pieces = []
-            for i, val in bound.items():
-                e = (key >> table._shifts[i]) & MAX_DEGREE
-                if e:
-                    key -= e * table._units[i]
-                    pieces.append(val ** e)
-            term = self._raw(table, {key: c})
-            for piece in pieces:
-                term = term * piece
-            acc = acc + term
-        return acc
-
     def degree_in(self, name: str) -> int:
         shift = self.table._shifts[self.table.index(name)]
         return max(((key >> shift) & MAX_DEGREE for key in self._t), default=0)
@@ -504,15 +486,6 @@ class SparsePoly(_TermMap):
             out[key // p] = c
         return SparsePoly._raw(table, out)
 
-    def substituted(self, bindings: dict) -> SparsePoly:
-        """Simultaneous substitution of variables by SparsePoly values."""
-        table = self.table
-        idx_bind = {}
-        for name, val in bindings.items():
-            _same_table(self, val)
-            idx_bind[table.index(name)] = val
-        return self._substitute_keys(idx_bind, self._t.items())
-
     def is_param_only(self) -> bool:
         mask = self.table._geom_mask
         return not any(key & mask for key in self._t)
@@ -588,8 +561,8 @@ class ParamRational:
     multiplication, so the light normalisation here (strip a common
     monomial factor, monic denominator) is cosmetic, not semantic.
 
-    The constructor, ``from_json`` and ``substituted`` validate that both
-    parts involve parameters only.  Arithmetic results are built by
+    The constructor and ``from_json`` validate that both parts involve
+    parameters only.  Arithmetic results are built by
     ``_make`` without that check: sums, products, powers and p-th roots
     of parameter-only polynomials are parameter-only.
     """
@@ -703,13 +676,6 @@ class ParamRational:
         if root is None:
             return None
         return ParamRational._make(root, self.den)
-
-    def substituted(self, bindings: dict) -> ParamRational:
-        num = self.num.substituted(bindings)
-        den = self.den.substituted(bindings)
-        if den.is_zero():
-            raise ZeroDenominatorError("substitution produced a zero denominator")
-        return ParamRational(num, den)
 
     def to_json(self) -> dict:
         names = [self.table.names[i] for i in self.table.param_indices]
@@ -895,51 +861,48 @@ class GeomPoly(_TermMap):
         return GeomPoly._raw(table, {k * p: c.frobenius() for k, c in self._t.items()})
 
     def partial(self, name: str) -> GeomPoly:
-        """Formal partial derivative with respect to a geometric variable."""
+        """Formal partial derivative with respect to a geometric variable.
+
+        Lowering one exponent maps distinct monomials to distinct ones, and
+        a nonzero coefficient times a unit mod p stays nonzero, so the terms
+        never collide or cancel.
+        """
         table = self.table
         idx = table.index(name)
         if table.kinds[idx] != GEOM:
             raise ValueError(f"{name!r} is not a geometric variable")
-        p = table.p
-        shift, unit = table._shifts[idx], table._units[idx]
-        out = {}
-        for key, c in self._t.items():
-            factor = ((key >> shift) & MAX_DEGREE) % p
-            if not factor:
-                continue
-            lowered = key - unit
-            nc = c.scaled(factor)
-            cur = out.get(lowered)
-            s = nc if cur is None else cur + nc
-            if s.is_zero():
-                out.pop(lowered, None)
-            else:
-                out[lowered] = s
-        return GeomPoly._raw(table, out)
+        p, shift, unit = table.p, table._shifts[idx], table._units[idx]
+        return GeomPoly._raw(table, {key - unit: c.scaled(e)
+                                     for key, c in self._t.items()
+                                     if (e := ((key >> shift) & MAX_DEGREE) % p)})
 
     def substituted(self, bindings: dict) -> GeomPoly:
-        """Simultaneous substitution; geometric and parameter variables may
-        both be bound.  Parameter bindings must be parameter polynomials
-        and may not send any coefficient denominator to zero."""
+        """Simultaneous substitution of geometric variables by GeomPoly
+        values (or constants); binding a parameter raises ValueError.
+
+        Terms are substituted and summed in the polynomial's term order,
+        which fixes the term order of the result.
+        """
         table = self.table
-        geom_bind = {}
-        param_bind = {}
+        bound = {}
         for name, value in bindings.items():
             idx = table.index(name)
-            gval = GeomPoly.coerce(table, value)
-            if table.kinds[idx] == GEOM:
-                geom_bind[idx] = gval
-            else:
-                c = gval.as_param_rational()
-                if not c.den.is_one():
-                    raise ValueError(
-                        "parameter substitution value must be a polynomial")
-                param_bind[name] = c.num
-        terms = self._t.items()
-        if param_bind:
-            terms = [(k, c.substituted(param_bind)) for k, c in terms]
-            terms = [(k, c) for k, c in terms if not c.is_zero()]
-        return self._substitute_keys(geom_bind, terms)
+            if table.kinds[idx] != GEOM:
+                raise ValueError(f"{name!r} is not a geometric variable")
+            bound[idx] = GeomPoly.coerce(table, value)
+        acc = GeomPoly._raw(table, {})
+        for key, c in self._t.items():
+            pieces = []
+            for i, val in bound.items():
+                e = (key >> table._shifts[i]) & MAX_DEGREE
+                if e:
+                    key -= e * table._units[i]
+                    pieces.append(val ** e)
+            term = GeomPoly._raw(table, {key: c})
+            for piece in pieces:
+                term = term * piece
+            acc = acc + term
+        return acc
 
     def as_param_rational(self) -> ParamRational:
         if not self._t:

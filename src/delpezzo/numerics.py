@@ -42,14 +42,13 @@ INFEASIBLE = _Infeasible()
 class DelPezzoParams:
     """Numeric data of a cover: characteristic p, twist exponent m, field
     degree exponent e (so the cover's function field has degree p^e over
-    the base), anti-canonical degree d and the irregularities."""
+    the base), anti-canonical degree d and the irregularity q_X of X."""
 
     p: int
     m: int
     e: int
     d: int
     q_X: int
-    q_Z: int | None = None
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -60,19 +59,13 @@ class DelPezzoParams:
             raise ValueError("e must be 0 or 1")
         if self.d < 1:
             raise ValueError("d must be a positive integer")
-        if self.q_X < 0 or (self.q_Z is not None and self.q_Z < 0):
-            raise ValueError("irregularities are nonnegative")
+        if self.q_X < 0:
+            raise ValueError("the irregularity is nonnegative")
 
     @property
     def chi_X(self) -> int:
         # h^2(O) = 0 on a del Pezzo surface, so chi = 1 - q
         return 1 - self.q_X
-
-    @property
-    def chi_Z(self) -> int:
-        if self.q_Z is None:
-            raise ValueError("q_Z is not set")
-        return 1 - self.q_Z
 
 
 def riemann_roch_chi(chi_O: int, D_self: int, D_dot_K: int) -> int:
@@ -174,10 +167,8 @@ def h0_anticanonical(n: int, e: int) -> int:
     n(n+1) / 2^(1-e)."""
     if n < 1 or e not in (0, 1):
         raise ValueError("need n >= 1 and e in {0, 1}")
-    value = Fraction(n * (n + 1), 2 ** (1 - e))
-    if value.denominator != 1:
-        raise ValueError("h^0 formula did not evaluate to an integer")
-    return int(value)
+    # n(n+1) is even, so the division is exact
+    return n * (n + 1) // 2 ** (1 - e)
 
 
 def cover_identities(e: int, chi_Z: int, chi_X: int, d_X: int, K_Z_sq: int) -> list[CheckResult]:

@@ -56,7 +56,7 @@ class BaseRingS:
     """The ring K[u_a, u_b, u_c]/(r_0) on chart i0, canonically a polynomial
     ring in two u's after eliminating the highest-index one via r_0."""
 
-    __slots__ = ("table", "chart", "others", "x_names", "u_names", "t_names",
+    __slots__ = ("table", "chart", "others", "x_names", "u_names",
                  "elim_name", "r0", "_elim_binding")
 
     def __init__(self, table: VarTable, chart: int):
@@ -69,7 +69,6 @@ class BaseRingS:
         self.others = tuple(m for m in range(4) if m != chart)
         self.x_names = tuple(f"x{m}" for m in self.others)
         self.u_names = tuple(f"u{m}" for m in self.others)
-        self.t_names = tuple(f"t{m}" for m in self.others)
         self.elim_name = self.u_names[-1]
         a = {i: alpha_value(table, i) for i in range(4)}
         elim = self.others[-1]

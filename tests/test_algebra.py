@@ -33,6 +33,7 @@ from randpoly import (
     check_root_round_trip,
     check_sparse_ring_axioms,
     make_table,
+    random_geom,
 )
 
 
@@ -154,10 +155,13 @@ class TestSubstitute:
 
     def test_zero_denominator_detected(self):
         tbl = table()
-        coeff = ParamRational(SparsePoly.const(tbl, 1),
-                              parse(tbl, "a0 + a1").as_param_rational().num)
-        f = GeomPoly.const(tbl, coeff)
         with pytest.raises(ZeroDenominatorError):
+            ParamRational(SparsePoly.const(tbl, 1), SparsePoly.const(tbl, 0))
+
+    def test_parameter_binding_rejected(self):
+        tbl = table()
+        f = parse(tbl, "a0*x1 + x2")
+        with pytest.raises(ValueError, match="not a geometric variable"):
             f.substituted({"a0": GeomPoly.var(tbl, "a1")})
 
 
@@ -178,6 +182,16 @@ class TestDerive:
             for k in range(4)})
         q = quadric(tbl)
         assert theta_a(q) == envelope * q
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_partial_matches_unit_derivation(self, p):
+        rng = random.Random(106 + p)
+        tbl = make_table(p=p)
+        for name in ("x1", "x2", "x3"):
+            unit = Derivation(tbl, {name: GeomPoly.one(tbl)})
+            for _ in range(20):
+                f = random_geom(rng, tbl)
+                assert f.partial(name) == unit(f)
 
 
 class TestRationalEq:

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from delpezzo import cli
 from delpezzo.cli import load_presentation, main, suite_checks
 from delpezzo.quotient import BaseRingS, verify_presentation
@@ -12,6 +14,7 @@ from delpezzo.reports import failures
 from delpezzo.surfaces import FoliationSpec, QuadricChart
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+CHARTS = (0, 1, 2, 3)
 
 
 def run_cli(*args, env_extra=None):
@@ -141,3 +144,23 @@ class TestInProcessEntry:
         assert main(["feasibility", "--p", "5", "--d-max", "1", "--q-max", "4",
                      "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["q_min_by_d"] == [4]
+
+
+class TestByteGate:
+    """The geometric outputs keep the sha256 digests recorded for the
+    benchmark's output gate."""
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    @pytest.mark.parametrize("suite", ["singular", "presentation", "foliations"])
+    def test_verify_suite_json(self, gate, stdout_digest, suite, chart):
+        argv = ["verify", "--suite", suite, "--chart", str(chart), "--json"]
+        assert stdout_digest(argv) == gate[f"{suite}[{chart}]"]
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    def test_presentation_emit(self, gate, stdout_digest, chart):
+        argv = ["presentation", "--chart", str(chart)]
+        assert stdout_digest(argv) == gate[f"emit[{chart}]"]
+
+    def test_verify_cusp_json(self, gate, stdout_digest):
+        argv = ["verify", "--suite", "cusp", "--json"]
+        assert stdout_digest(argv) == gate["cusp[0]"]

@@ -4,12 +4,11 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from delpezzo import cli, numerics
+from delpezzo import numerics
 from delpezzo.numerics import (
     INFEASIBLE,
     DelPezzoParams,
@@ -289,25 +288,13 @@ class TestNegativeControls:
         assert "disagrees with the direct sum" in failed[0].witness
 
 
-GATE_PATH = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
-
-
 class TestByteGate:
     """The numerics outputs keep the sha256 digests recorded for the
-    benchmark's output gate (the file is only read)."""
+    benchmark's output gate."""
 
-    @pytest.fixture(scope="class")
-    def gate(self):
-        return json.loads(GATE_PATH.read_text(encoding="utf-8"))
-
-    @staticmethod
-    def stdout_digest(capsys, argv):
-        assert cli.main(argv) == 0
-        return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-
-    def test_verify_numerics_json(self, gate, capsys):
+    def test_verify_numerics_json(self, gate, stdout_digest):
         argv = ["verify", "--suite", "numerics", "--chart", "0", "--json"]
-        assert self.stdout_digest(capsys, argv) == gate["numerics[0]"]
+        assert stdout_digest(argv) == gate["numerics[0]"]
 
     def test_solve_q1_bench_box(self, gate):
         data = json.dumps(solve_q1(100, 60, 300)).encode("utf-8")
@@ -315,7 +302,7 @@ class TestByteGate:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("p", [2, 3, 61, 97])
-    def test_feasibility_table(self, gate, capsys, p, fmt):
+    def test_feasibility_table(self, gate, stdout_digest, p, fmt):
         argv = ["feasibility", "--p", str(p), "--d-max", "120", "--q-max", "120",
                 "--format", fmt]
-        assert self.stdout_digest(capsys, argv) == gate[f"feasibility[{p},{fmt}]"]
+        assert stdout_digest(argv) == gate[f"feasibility[{p},{fmt}]"]

@@ -280,3 +280,9 @@ class TestJacobianMinors:
         rels = list(pres.relations.values())
         with pytest.raises(ValueError):
             jacobian_minors(rels, ["u1"], 2)
+
+    def test_parameter_variable_rejected(self, setup):
+        _, _, _, pres = setup
+        rels = list(pres.relations.values())
+        with pytest.raises(ValueError, match="not a geometric variable"):
+            jacobian_minors(rels, ["a0"], 1)

@@ -1,7 +1,7 @@
 """Each chart stage runs once: one kernel per presentation, one normal form
 per minor and one table per (chart, depth).  Also the negative controls of
-the presentation and singular-locus suites, and a check that every name
-the benchmark's tracer wraps still exists."""
+the presentation, singular-locus, cusp and fibre-injectivity checks, and a
+check that every name the benchmark's tracer wraps still exists."""
 
 import importlib
 import json
@@ -12,7 +12,7 @@ import pytest
 
 import delpezzo
 from delpezzo import algebra, cli, quotient, surfaces
-from delpezzo.algebra import Derivation, GeomPoly, VarTable
+from delpezzo.algebra import Derivation, GeomPoly, ParamRational, VarTable
 from delpezzo.quotient import BaseRingS, Presentation, verify_presentation
 from delpezzo.surfaces import (
     QuadricChart,
@@ -111,6 +111,31 @@ class TestNegativeControls:
         named = {c.name: c for c in singular_locus(bad)}
         assert not named["minors_divisible_by_h"].passed
         assert "failures at" in named["minors_divisible_by_h"].witness
+
+    def test_perturbed_relation_breaks_the_cusp_curve(self, monkeypatch):
+        orig = surfaces.build_presentation
+
+        def perturbed(i0=0, depth=0):
+            pres = orig(i0, depth)
+            table = pres.table
+            relations = dict(pres.relations)
+            relations["r_4"] = (relations["r_4"]
+                                + GeomPoly.var(table, "u1") * GeomPoly.var(table, "t1"))
+            return Presentation(chart=pres.chart, generators=pres.generators,
+                                relations=relations, embedding=pres.embedding,
+                                table=table)
+        monkeypatch.setattr(surfaces, "build_presentation", perturbed)
+        _, checks = surfaces.cusp_curve()
+        assert [c.name for c in checks if not c.passed] == ["curve_relation_reduces[r_4]"]
+
+    def test_vanishing_parameter_puts_a_point_on_the_quadric(self, monkeypatch):
+        orig = surfaces.alpha_value
+
+        def alpha(table, i):
+            return ParamRational.zero(table) if i == 1 else orig(table, i)
+        monkeypatch.setattr(surfaces, "alpha_value", alpha)
+        checks = surfaces.check_fibre_injectivity()
+        assert [c.name for c in checks if not c.passed] == ["point_off_quadric[0100]"]
 
 
 def test_tracer_targets_resolve():
