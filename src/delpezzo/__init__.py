@@ -8,16 +8,13 @@ from .algebra import (
     Derivation,
     GeomPoly,
     ParamRational,
-    PrimeField,
     RootDepthError,
     SparsePoly,
     TableMismatchError,
     VarTable,
     ZeroDenominatorError,
     exact_divide,
-    lift_to,
     parse,
-    project_to,
     root_monomial,
 )
 from .numerics import (
@@ -26,7 +23,6 @@ from .numerics import (
     FeasibilityTable,
     cover_identities,
     feasibility_region,
-    field_degree_divides,
     h0_anticanonical,
     main_equation,
     riemann_roch_chi,

@@ -3,8 +3,9 @@
 The value model has three layers:
 
 * ``SparsePoly``: a sparse polynomial over GF(p) in the variables of one
-  ``VarTable``, stored as a canonical map from packed monomial keys to
-  nonzero residues.  Dict equality therefore decides polynomial equality.
+  ``VarTable``, which also stores p, kept as a canonical map from packed
+  monomial keys to nonzero residues.  Dict equality therefore decides
+  polynomial equality.
 * ``ParamRational``: a quotient of two parameter-only sparse polynomials.
   Equality is decided by cross multiplication, which is exact because the
   polynomial ring is an integral domain.  Normalisation only strips a
@@ -37,10 +38,9 @@ function, so values may be shared freely between threads.
 
 Roots of parameters never use fractional exponents.  A table of root depth
 k reinterprets every parameter symbol as the p^k-th root of its depth-0
-value, keeping all arithmetic inside one ordinary polynomial ring;
-``lift_to`` and ``project_to`` translate between depths by rescaling
-parameter exponents, and ``root_monomial`` names the p^j-th root of a
-depth-0 parameter as a plain monomial.
+value, keeping all arithmetic inside one ordinary polynomial ring; values
+never move between depths, and ``root_monomial`` names the p^j-th root of
+a depth-0 parameter as a plain monomial of the table.
 
 The monomial order used for leading terms and trial division is graded
 lexicographic in the variable order of the table, fixed globally, so
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 PARAM = "param"
 GEOM = "geom"
@@ -84,34 +83,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """GF(p) arithmetic on int residues in [0, p)."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"characteristic must be a prime, got {self.p}")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
-
 class VarTable:
     """Ordered variable context shared by all polynomials built over it.
 
     Variables are tagged ``param`` (generators of the coefficient field) or
-    ``geom`` (geometric coordinates).  ``root_depth`` k means each param
+    ``geom`` (geometric coordinates).  The table stores the prime
+    characteristic ``p`` of GF(p).  ``root_depth`` k means each param
     symbol denotes the p^k-th root of its depth-0 value, so the depth-0
     parameter equals symbol**(p**k).
 
@@ -123,7 +100,7 @@ class VarTable:
     that reads a key's fields as big-endian bytes, degree first.
     """
 
-    __slots__ = ("names", "kinds", "field", "root_depth",
+    __slots__ = ("names", "kinds", "p", "root_depth",
                  "_index", "param_indices", "geom_indices",
                  "_shifts", "_deg_shift", "_units", "_geom_mask", "_param_mask",
                  "_borrows", "_layout")
@@ -140,9 +117,11 @@ class VarTable:
                 raise ValueError(f"unknown variable kind {k!r}")
         if root_depth < 0:
             raise ValueError("root depth must be nonnegative")
+        if not is_prime(p):
+            raise ValueError(f"characteristic must be a prime, got {p}")
         self.names = names
         self.kinds = kinds
-        self.field = PrimeField(p)
+        self.p = p
         self.root_depth = root_depth
         self._index = {n: i for i, n in enumerate(names)}
         self.param_indices = tuple(i for i, k in enumerate(kinds) if k == PARAM)
@@ -156,10 +135,6 @@ class VarTable:
         self._borrows = sum(1 << s for s in self._shifts[:-1]) | (1 << self._deg_shift)
         self._layout = struct.Struct(f">{width + 1}H")
 
-    @property
-    def p(self) -> int:
-        return self.field.p
-
     def index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -168,10 +143,6 @@ class VarTable:
 
     def kind(self, name: str) -> str:
         return self.kinds[self.index(name)]
-
-    def root_extend(self, depth: int) -> VarTable:
-        """Same variables, with param symbols read as p^depth-th roots."""
-        return VarTable(self.names, self.kinds, self.p, depth)
 
     def __eq__(self, other):
         if self is other:
@@ -419,7 +390,7 @@ class SparsePoly(_TermMap):
 
     def __add__(self, other: SparsePoly) -> SparsePoly:
         _same_table(self, other)
-        p = self.table.field.p
+        p = self.table.p
         out = dict(self._t)
         for key, c in other._t.items():
             s = (out.get(key, 0) + c) % p
@@ -430,13 +401,13 @@ class SparsePoly(_TermMap):
         return SparsePoly._raw(self.table, out)
 
     def __neg__(self) -> SparsePoly:
-        p = self.table.field.p
+        p = self.table.p
         if p == 2:
             return self
         return SparsePoly._raw(self.table, {k: -c % p for k, c in self._t.items()})
 
     def scaled(self, c: int) -> SparsePoly:
-        p = self.table.field.p
+        p = self.table.p
         c %= p
         if c == 0:
             return SparsePoly.zero(self.table)
@@ -452,7 +423,7 @@ class SparsePoly(_TermMap):
             return SparsePoly._raw(table, {})
         shift = table._deg_shift
         _check_degree((max(a) >> shift) + (max(b) >> shift))
-        p = table.field.p
+        p = table.p
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
@@ -548,7 +519,7 @@ def _normalised(num: SparsePoly, den: SparsePoly):
             den = SparsePoly._raw(table, dt)
     lc = dt[max(dt)]
     if lc != 1:
-        inv = table.field.inv(lc)
+        inv = pow(lc, table.p - 2, table.p)
         num = num.scaled(inv)
         den = den.scaled(inv)
     return num, den
@@ -775,26 +746,6 @@ class GeomPoly(_TermMap):
                 raise TableMismatchError("mismatched variable tables")
             return value
         return cls.const(table, value)
-
-    def to_sparse(self) -> SparsePoly:
-        """Expand into a plain sparse polynomial; requires denominator-free
-        coefficients."""
-        table = self.table
-        acc: dict = {}
-        p = table.p
-        for gkey, c in self._t.items():
-            if not c.den.is_one():
-                raise ValueError("polynomial has a nontrivial denominator")
-            for pkey, pc in c.num._t.items():
-                key = gkey + pkey
-                s = (acc.get(key, 0) + pc) % p
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        if acc:
-            _check_degree(max(acc) >> table._deg_shift)
-        return SparsePoly._raw(table, acc)
 
     def is_one(self) -> bool:
         return self._t.keys() == {0} and self._t[0].is_one()
@@ -1098,57 +1049,6 @@ def exact_divide(f: GeomPoly, g: GeomPoly) -> GeomPoly | None:
         quotient[step] = c
         r = r - GeomPoly._raw(table, {step: c}) * g
     return GeomPoly._raw(table, quotient)
-
-
-def lift_to(value, table: VarTable):
-    """Rewrite a value over a deeper-rooted compatible table.
-
-    A parameter exponent e becomes e * p^(depth difference): the depth-k
-    symbol raised to p^k is the depth-0 parameter.
-    """
-    shift = _depth_shift(value.table, table)
-    if shift < 0:
-        raise RootDepthError("target table is shallower; use project_to")
-    return _rescale_params(value, table, table.p ** shift)
-
-
-def project_to(value, table: VarTable):
-    """Inverse of lift_to; fails when an exponent is not divisible."""
-    shift = _depth_shift(value.table, table)
-    if shift > 0:
-        raise RootDepthError("target table is deeper; use lift_to")
-    return _rescale_params(value, table, 1, down=table.p ** -shift)
-
-
-def _depth_shift(src: VarTable, table: VarTable) -> int:
-    if (src.names, src.kinds, src.p) != (table.names, table.kinds, table.p):
-        raise TableMismatchError("tables differ in more than root depth")
-    return table.root_depth - src.root_depth
-
-
-def _rescale_params(value, table: VarTable, scale: int, down: int = 1):
-    """The value over ``table`` with each parameter exponent e replaced by
-    e * scale / down; a field past the degree limit shows in the
-    unbounded degree field."""
-    if isinstance(value, SparsePoly):
-        out = {}
-        for key, c in value._t.items():
-            for i in table.param_indices:
-                e = (key >> table._shifts[i]) & MAX_DEGREE
-                if e % down:
-                    raise RootDepthError(
-                        "expression does not descend to the shallower table")
-                key += (e * scale // down - e) * table._units[i]
-            _check_degree(key >> table._deg_shift)
-            out[key] = c
-        return SparsePoly._raw(table, out)
-    if isinstance(value, ParamRational):
-        return ParamRational(_rescale_params(value.num, table, scale, down),
-                             _rescale_params(value.den, table, scale, down))
-    if isinstance(value, GeomPoly):
-        return GeomPoly._raw(table, {k: _rescale_params(c, table, scale, down)
-                                     for k, c in value._t.items()})
-    raise TypeError(f"cannot rescale {type(value).__name__}")
 
 
 def root_monomial(table: VarTable, name: str, j: int) -> SparsePoly:

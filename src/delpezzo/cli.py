@@ -26,7 +26,7 @@ import time
 
 from .numerics import feasibility_region, is_prime, numerics_suite
 from .quotient import Presentation
-from .reports import CheckResult, prefixed
+from .reports import CheckResult, failures, prefixed
 from .surfaces import (
     FOLIATION_KINDS,
     FoliationSpec,
@@ -103,7 +103,7 @@ def run_verify(args) -> int:
               f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - started
-    failed = [c for c in checks if not c.passed]
+    failed = failures(checks)
     if args.json:
         payload = {
             "suite": args.suite,
@@ -141,7 +141,7 @@ def run_feasibility(args) -> int:
 def run_presentation(args) -> int:
     fol = FoliationSpec.build("deg1", QuadricChart.build(args.chart))
     pres, checks = quotient_presentation(fol)
-    failed = [c for c in checks if not c.passed]
+    failed = failures(checks)
     if failed:
         for c in failed:
             print(f"FAIL {c.name}  [{c.witness}]", file=sys.stderr)

@@ -120,14 +120,6 @@ def torsor_degree(params: DelPezzoParams) -> int:
     return p ** (1 - e) * (1 + m * (p - 1)) ** 2 * d
 
 
-def field_degree_divides(deg_f: int, deg_ext: int) -> bool:
-    """Whether the global-function field degree can sit inside a finite
-    dominant morphism of the given degree."""
-    if deg_f < 1 or deg_ext < 1:
-        raise ValueError("degrees are positive integers")
-    return deg_f % deg_ext == 0
-
-
 def scan_is_conclusive(p_max: int, m_max: int, d_max: int) -> bool:
     """Growth certificate for the finite q = 1 scan.
 

@@ -111,18 +111,6 @@ class ModuleVector:
 
     __hash__ = None
 
-    def as_mixed_poly(self) -> GeomPoly:
-        acc = GeomPoly.zero(self.ring.table)
-        for slot, c in enumerate(self.coords):
-            acc = acc + c * basis_monomial(self.ring, slot)
-        return acc
-
-    def as_x_poly(self) -> GeomPoly:
-        table = self.ring.table
-        back = {un: GeomPoly.var(table, xn) ** 2
-                for un, xn in zip(self.ring.u_names, self.ring.x_names)}
-        return self.as_mixed_poly().substituted(back)
-
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 

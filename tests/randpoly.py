@@ -16,8 +16,6 @@ from delpezzo.algebra import (
     SparsePoly,
     VarTable,
     exact_divide,
-    lift_to,
-    project_to,
 )
 
 
@@ -154,20 +152,6 @@ def check_rational_equivalence(rng, table, trials):
         assert a + d == b + d
         assert a * d == b * d
         count += 7
-    return count
-
-
-def check_root_round_trip(rng, shallow, deep, trials):
-    count = 0
-    scale = shallow.p ** (deep.root_depth - shallow.root_depth)
-    for _ in range(trials):
-        f = random_sparse(rng, shallow, params_only=True)
-        lifted = lift_to(f, deep)
-        assert project_to(lifted, shallow) == f
-        for exp in lifted.terms:
-            assert all(e % scale == 0 for i, e in enumerate(exp)
-                       if i in deep.param_indices)
-        count += 2
     return count
 
 

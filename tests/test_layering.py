@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from delpezzo import algebra, quotient, surfaces
+from delpezzo import algebra, cli, numerics, quotient, reports, surfaces
 
 
 def private_algebra_names():
@@ -35,6 +35,7 @@ def test_private_names_are_collected():
     assert {"_raw", "_t", "_pack", "_unpack", "_make", "_shifts"} <= private_algebra_names()
 
 
-@pytest.mark.parametrize("module", [quotient, surfaces], ids=["quotient", "surfaces"])
+@pytest.mark.parametrize("module", [quotient, surfaces, cli, numerics, reports],
+                         ids=lambda m: m.__name__.rsplit(".", 1)[-1])
 def test_no_private_algebra_name(module):
     assert names_used(module) & private_algebra_names() == set()

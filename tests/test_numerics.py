@@ -15,7 +15,6 @@ from delpezzo.numerics import (
     cover_identities,
     exact_lower_bound,
     feasibility_region,
-    field_degree_divides,
     h0_anticanonical,
     inequality_bound,
     main_equation,
@@ -216,11 +215,6 @@ class TestSmallOps:
         results = cover_identities(e=0, chi_Z=1, chi_X=0, d_X=2, K_Z_sq=8)
         assert [c.name for c in failures(results)] == [
             "euler_characteristic_identity", "degree_identity"]
-
-    def test_field_degree_divides(self):
-        assert field_degree_divides(2, 2)
-        assert field_degree_divides(2, 1)
-        assert not field_degree_divides(2, 4)
 
 
 def test_numerics_suite_is_green():

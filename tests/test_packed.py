@@ -10,7 +10,6 @@ from delpezzo.algebra import (
     ParamRational,
     SparsePoly,
     VarTable,
-    lift_to,
     parse,
 )
 
@@ -79,21 +78,6 @@ class TestDegreeLimit:
         assert cls.var(t3, "x", MAX_DEGREE // 3).frobenius().degree_in("x") == MAX_DEGREE
         with pytest.raises(OverflowError):
             cls.var(WIDE, "g0", (MAX_DEGREE + 1) // 2).frobenius()
-
-    def test_to_sparse(self):
-        geom = GeomPoly.var(WIDE, "g0", MAX_DEGREE)
-        assert geom.to_sparse() == SparsePoly.var(WIDE, "g0", MAX_DEGREE)
-        with pytest.raises(OverflowError):
-            geom.scaled(ParamRational.var(WIDE, "a0")).to_sparse()
-
-    def test_lift_to(self):
-        deep = WIDE.root_extend(1)
-        half = (MAX_DEGREE + 1) // 2
-        assert lift_to(SparsePoly.var(WIDE, "a0", half - 1), deep).degree_in("a0") == MAX_DEGREE - 1
-        with pytest.raises(OverflowError):
-            lift_to(SparsePoly.var(WIDE, "a0", half), deep)
-        with pytest.raises(OverflowError):
-            lift_to(ParamRational.var(WIDE, "a1", half), deep)
 
 
 def test_param_rational_rejects_geometric_variable():
@@ -180,5 +164,6 @@ class TestStrictJson:
         g = f.scaled(ParamRational(SparsePoly.var(self.t, "a1"),
                                    SparsePoly.var(self.t, "a0") + SparsePoly.const(self.t, 1)))
         assert GeomPoly.from_json(self.t, g.to_json()) == g
-        s = f.to_sparse()
+        s = SparsePoly(self.t, {(3, 0, 2, 0): 1, (0, 1, 0, 1): 1, (0, 0, 1, 1): 1,
+                                (0, 0, 0, 0): 1})
         assert SparsePoly.from_json(self.t, s.to_json()) == s

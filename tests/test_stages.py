@@ -1,7 +1,8 @@
 """Each chart stage runs once: one kernel per presentation, one normal form
 per minor and one table per (chart, depth).  Also the negative controls of
-the presentation, singular-locus, cusp and fibre-injectivity checks, and a
-check that every name the benchmark's tracer wraps still exists."""
+the presentation, singular-locus, cusp, fibre-injectivity and reducedness
+witness checks, and a check that every name the benchmark's tracer wraps
+still exists."""
 
 import importlib
 import json
@@ -12,7 +13,7 @@ import pytest
 
 import delpezzo
 from delpezzo import algebra, cli, quotient, surfaces
-from delpezzo.algebra import Derivation, GeomPoly, ParamRational, VarTable
+from delpezzo.algebra import Derivation, ParamRational, VarTable, parse
 from delpezzo.quotient import BaseRingS, Presentation, verify_presentation
 from delpezzo.surfaces import (
     QuadricChart,
@@ -91,6 +92,24 @@ class TestTableInterning:
         assert len({id(t) for t in tables}) == len(tables)
 
 
+def perturbed(pres: Presentation, name: str, monomial: str) -> Presentation:
+    """``pres`` with ``monomial`` added to the relation ``name``."""
+    relations = dict(pres.relations)
+    relations[name] = relations[name] + parse(pres.table, monomial)
+    return Presentation(chart=pres.chart, generators=pres.generators, relations=relations,
+                        embedding=pres.embedding, table=pres.table)
+
+
+@pytest.fixture
+def a1_vanishes(monkeypatch):
+    """``surfaces.alpha_value`` sends the parameter a1 to zero."""
+    orig = surfaces.alpha_value
+
+    def alpha(table, i):
+        return ParamRational.zero(table) if i == 1 else orig(table, i)
+    monkeypatch.setattr(surfaces, "alpha_value", alpha)
+
+
 class TestNegativeControls:
     def test_zero_derivation_fails_exactly_the_rank_checks(self):
         pres = build_presentation(0)
@@ -102,40 +121,60 @@ class TestNegativeControls:
                           "quotient_degree[2]": "degrees=(8, 8, 1)"}
 
     def test_perturbed_relation_breaks_divisibility_by_h(self):
-        pres = build_presentation(0)
-        table = pres.table
-        relations = dict(pres.relations)
-        relations["r_4"] = relations["r_4"] + GeomPoly.var(table, "u1") * GeomPoly.var(table, "t1")
-        bad = Presentation(chart=0, generators=pres.generators, relations=relations,
-                           embedding=pres.embedding, table=table)
+        bad = perturbed(build_presentation(0), "r_4", "u1*t1")
         named = {c.name: c for c in singular_locus(bad)}
         assert not named["minors_divisible_by_h"].passed
         assert "failures at" in named["minors_divisible_by_h"].witness
 
     def test_perturbed_relation_breaks_the_cusp_curve(self, monkeypatch):
         orig = surfaces.build_presentation
-
-        def perturbed(i0=0, depth=0):
-            pres = orig(i0, depth)
-            table = pres.table
-            relations = dict(pres.relations)
-            relations["r_4"] = (relations["r_4"]
-                                + GeomPoly.var(table, "u1") * GeomPoly.var(table, "t1"))
-            return Presentation(chart=pres.chart, generators=pres.generators,
-                                relations=relations, embedding=pres.embedding,
-                                table=table)
-        monkeypatch.setattr(surfaces, "build_presentation", perturbed)
+        monkeypatch.setattr(surfaces, "build_presentation",
+                            lambda i0=0, depth=0: perturbed(orig(i0, depth), "r_4", "u1*t1"))
         _, checks = surfaces.cusp_curve()
         assert [c.name for c in checks if not c.passed] == ["curve_relation_reduces[r_4]"]
 
-    def test_vanishing_parameter_puts_a_point_on_the_quadric(self, monkeypatch):
-        orig = surfaces.alpha_value
-
-        def alpha(table, i):
-            return ParamRational.zero(table) if i == 1 else orig(table, i)
-        monkeypatch.setattr(surfaces, "alpha_value", alpha)
+    def test_vanishing_parameter_puts_a_point_on_the_quadric(self, a1_vanishes):
         checks = surfaces.check_fibre_injectivity()
         assert [c.name for c in checks if not c.passed] == ["point_off_quadric[0100]"]
+
+    def test_vanishing_parameter_breaks_the_square_root_of_the_quadric(self, a1_vanishes):
+        checks = surfaces.reducedness_witness()
+        assert [c.name for c in checks if not c.passed] == ["square_recovers_quadric"]
+
+    def test_degree_two_foliation_breaks_the_reducedness_witness(self, monkeypatch):
+        build = surfaces.FoliationSpec.build.__func__
+        monkeypatch.setattr(surfaces.FoliationSpec, "build",
+                            classmethod(lambda cls, kind, chart: build(cls, "deg2", chart)))
+        checks = surfaces.reducedness_witness()
+        assert [c.name for c in checks if not c.passed] == [
+            "derivative_identity", "evaluation_value"]
+
+    def test_perturbed_relation_fails_the_u_block_minors(self):
+        bad = perturbed(build_presentation(0), "r_1", "u1*u2")
+        failed = {c.name: c.witness for c in singular_locus(bad) if not c.passed}
+        assert sorted(failed) == [
+            "minors_divisible_by_h",
+            "t_block_minor[rows=(1, 2),cols=(1, 2)]",
+            "u_block_minor[r_0,r_1,r_2]",
+            "u_block_minor[r_0,r_1,r_3]",
+            "u_block_minor[r_1,r_2,r_3]",
+        ]
+        assert failed["u_block_minor[r_0,r_1,r_2]"] == (
+            "minor=((a1^4 + a1^3*a3)/(a3^3))*u1^4 + ((a1^2*a2 + a1*a2^2)/(a3^2))*u1^2*u2^2"
+            " + ((a2^4 + a2^3*a3)/(a3^3))*u2^4 + ((a1^3 + a1*a3^2)/(a3^2))*u1^3"
+            " + ((a1^2*a2 + a1*a2*a3 + a2*a3^2)/(a3^2))*u1^2*u2"
+            " + ((a1*a2^2 + a1*a2*a3 + a2^2*a3)/(a3^2))*u1*u2^2"
+            " + ((a2^3 + a2^2*a3)/(a3^2))*u2^3 + ((a0^2*a1 + a0*a1*a3)/(a3^2))*u1^2"
+            " + ((a0^2*a2 + a0*a2*a3)/(a3^2))*u2^2"
+            " + ((a0^2*a1 + a0^2*a3 + a0*a1*a3 + a0*a3^2)/(a3^2))*u1"
+            " + ((a0^2*a2 + a0*a2*a3)/(a3^2))*u2 + ((a0^4 + a0^2*a3^2)/(a3^3))")
+        assert failed["u_block_minor[r_0,r_1,r_3]"] == (
+            "minor=((a1^2 + a1*a3)/(a3))*u1^2*u2^2 + ((a2^2 + a2*a3)/(a3))*u2^4"
+            " + ((a1^2 + a1*a3 + a3^2)/(a3))*u1^2*u2 + a3*u1*u2^2"
+            " + ((a2^2 + a2*a3)/(a3))*u2^3 + ((a0^2 + a0*a3)/(a3))*u2^2"
+            " + ((a0^2 + a0*a3)/(a3))*u2")
+        assert failed["u_block_minor[r_1,r_2,r_3]"] == (
+            "minor=u1^4*u2 + u1^3*u2^2 + u1^3*u2 + u1^2*u2^2")
 
 
 def test_tracer_targets_resolve():
