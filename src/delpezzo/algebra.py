@@ -16,35 +16,31 @@ The value model has three layers:
 * ``GeomPoly``: a polynomial in the geometric variables whose coefficients
   are ``ParamRational`` values, on the same packed keys with every
   parameter field zero.  Its ``substituted`` binds geometric variables
-  only.
+  only.  With polynomial coefficients it is a ``SparsePoly`` on the same
+  table (``as_sparse``), the fraction-free form in GF(p)[a][x], where
+  ``pseudo_substitute`` eliminates a variable by pseudo-division; both
+  types share ``partial``, ``rewrite`` and ``exact_divide``.
 
 Both polynomial types share one monomial layout, known only to this
 module.  A key is one int: a ``FIELD_BITS``-bit field per variable (the
 table's first variable most significant) with the total degree in the
-field above them, so integer order is the graded lexicographic order, a
-product of monomials is a sum of keys, a quotient of monomials is a
-difference of keys and the Frobenius map multiplies keys by p (after
-Monagan and Pearce, "Polynomial Division Using Dynamic Arrays, Heaps, and
-Packed Exponent Vectors", CASC 2007).  Total degrees are limited to
-``MAX_DEGREE`` = 65535; a result beyond it raises ``OverflowError`` and
-never wraps.  Outside this module monomials are exponent tuples: the
-public constructors and ``from_json`` take them and validate them, and
-``terms`` is a read-only view keyed by them.  ``rewrite`` applies
-monomial rewrite rules to a fixpoint, and ``strip_common_monomial``
-divides polynomials by their common monomial factor.
-
-All values are immutable after construction and every operation is a pure
-function, so values may be shared freely between threads.
+field above them, so integer order is the graded lexicographic order that
+leading terms and trial division use, a product of monomials is a sum of
+keys, a quotient of monomials is a difference of keys and the Frobenius
+map multiplies keys by p (after Monagan and Pearce, "Polynomial Division
+Using Dynamic Arrays, Heaps, and Packed Exponent Vectors", CASC 2007).
+Total degrees are limited to ``MAX_DEGREE`` = 65535; a result beyond it
+raises ``OverflowError`` and never wraps.  Outside this module monomials
+are exponent tuples: the public constructors and ``from_json`` take them
+and validate them, and ``terms`` is a read-only view keyed by them.  All
+values are immutable and every operation is a pure function, so values may
+be shared freely between threads.
 
 Roots of parameters never use fractional exponents.  A table of root depth
 k reinterprets every parameter symbol as the p^k-th root of its depth-0
 value, keeping all arithmetic inside one ordinary polynomial ring; values
 never move between depths, and ``root_monomial`` names the p^j-th root of
 a depth-0 parameter as a plain monomial of the table.
-
-The monomial order used for leading terms and trial division is graded
-lexicographic in the variable order of the table, fixed globally, so
-canonical forms and quotients are reproducible.
 """
 
 from __future__ import annotations
@@ -285,6 +281,20 @@ class _TermMap:
     def is_zero(self) -> bool:
         return not self._t
 
+    def is_one(self) -> bool:
+        return self._t.keys() == {0} and self._unit_coeff(self._t[0])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.table is other.table or self.table == other.table)
+                and self._t == other._t)
+
+    def __neg__(self):
+        if self.table.p == 2:
+            return self
+        return self._raw(self.table, {k: self._times(c, -1) for k, c in self._t.items()})
+
     def __sub__(self, other):
         return self + (-other)
 
@@ -302,6 +312,39 @@ class _TermMap:
     def degree_in(self, name: str) -> int:
         shift = self.table._shifts[self.table.index(name)]
         return max(((key >> shift) & MAX_DEGREE for key in self._t), default=0)
+
+    def partial(self, name: str):
+        """Formal partial derivative; a ``GeomPoly``, whose coefficients
+        hold the parameters, takes it by geometric variables only.
+
+        Lowering one exponent maps distinct monomials to distinct ones, and
+        a nonzero coefficient times a unit mod p stays nonzero, so the terms
+        never collide or cancel.
+        """
+        table = self.table
+        idx = table.index(name)
+        if table.kinds[idx] != GEOM and not isinstance(self, SparsePoly):
+            raise ValueError(f"{name!r} is not a geometric variable")
+        p, shift, unit = table.p, table._shifts[idx], table._units[idx]
+        return self._raw(table, {key - unit: self._times(c, e)
+                                 for key, c in self._t.items()
+                                 if (e := ((key >> shift) & MAX_DEGREE) % p)})
+
+    def linear_parts(self, names) -> tuple:
+        """The terms free of ``names``, then the cofactor of each name, for
+        a polynomial of degree at most one in ``names`` (else ValueError)."""
+        table = self.table
+        idxs = [table.index(n) for n in names]
+        mask = sum(MAX_DEGREE << table._shifts[i] for i in idxs)
+        slot_of = {0: 0} | {1 << table._shifts[i]: pos for pos, i in enumerate(idxs, 1)}
+        units = [0] + [table._units[i] for i in idxs]
+        parts = [{} for _ in units]
+        for key, c in self._t.items():
+            slot = slot_of.get(key & mask)
+            if slot is None:
+                raise ValueError(f"a term has degree above one in {list(names)}")
+            parts[slot][key - units[slot]] = c
+        return tuple(self._raw(table, part) for part in parts)
 
     def _json_rows(self, names) -> list:
         """(coefficient, exponents of ``names``) per term, largest first."""
@@ -379,15 +422,6 @@ class SparsePoly(_TermMap):
             return cls.zero(table)
         return cls._raw(table, {_pack_named(table, exps): coeff})
 
-    def is_one(self) -> bool:
-        return self._t == {0: 1}
-
-    def __eq__(self, other):
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return ((self.table is other.table or self.table == other.table)
-                and self._t == other._t)
-
     def __add__(self, other: SparsePoly) -> SparsePoly:
         _same_table(self, other)
         p = self.table.p
@@ -399,12 +433,6 @@ class SparsePoly(_TermMap):
             else:
                 del out[key]
         return SparsePoly._raw(self.table, out)
-
-    def __neg__(self) -> SparsePoly:
-        p = self.table.p
-        if p == 2:
-            return self
-        return SparsePoly._raw(self.table, {k: -c % p for k, c in self._t.items()})
 
     def scaled(self, c: int) -> SparsePoly:
         p = self.table.p
@@ -472,9 +500,23 @@ class SparsePoly(_TermMap):
         return cls(table, {_spread(table, idxs, item["exponents"]): item["coeff"]
                            for item in data})
 
+    def as_geom(self) -> GeomPoly:
+        """The same polynomial, parameter monomials moved into coefficients."""
+        parts: dict = {}
+        for exp, c in self.terms.items():
+            geom = tuple(e if kind == GEOM else 0 for e, kind in zip(exp, self.table.kinds))
+            parts.setdefault(geom, {})[tuple(e - g for e, g in zip(exp, geom))] = c
+        return GeomPoly(self.table, {g: SparsePoly(self.table, t) for g, t in parts.items()})
+
     @staticmethod
     def _unit_coeff(c) -> bool:
         return c == 1
+
+    def _times(self, c: int, e: int) -> int:
+        return c * e % self.table.p
+
+    def _over(self, c: int, d: int) -> int:
+        return c * pow(d, -1, self.table.p) % self.table.p
 
     _coeff_text = staticmethod(str)
 
@@ -747,18 +789,6 @@ class GeomPoly(_TermMap):
             return value
         return cls.const(table, value)
 
-    def is_one(self) -> bool:
-        return self._t.keys() == {0} and self._t[0].is_one()
-
-    def __eq__(self, other):
-        if not isinstance(other, GeomPoly):
-            return NotImplemented
-        if self.table is not other.table and self.table != other.table:
-            return False
-        if self._t.keys() != other._t.keys():
-            return False
-        return all(c == other._t[k] for k, c in self._t.items())
-
     def __add__(self, other: GeomPoly) -> GeomPoly:
         _same_table(self, other)
         out = dict(self._t)
@@ -770,11 +800,6 @@ class GeomPoly(_TermMap):
             else:
                 out[key] = s
         return GeomPoly._raw(self.table, out)
-
-    def __neg__(self) -> GeomPoly:
-        if self.table.p == 2:
-            return self
-        return GeomPoly._raw(self.table, {k: -c for k, c in self._t.items()})
 
     def __mul__(self, other: GeomPoly) -> GeomPoly:
         _same_table(self, other)
@@ -811,22 +836,6 @@ class GeomPoly(_TermMap):
             _check_degree((max(self._t) >> table._deg_shift) * p)
         return GeomPoly._raw(table, {k * p: c.frobenius() for k, c in self._t.items()})
 
-    def partial(self, name: str) -> GeomPoly:
-        """Formal partial derivative with respect to a geometric variable.
-
-        Lowering one exponent maps distinct monomials to distinct ones, and
-        a nonzero coefficient times a unit mod p stays nonzero, so the terms
-        never collide or cancel.
-        """
-        table = self.table
-        idx = table.index(name)
-        if table.kinds[idx] != GEOM:
-            raise ValueError(f"{name!r} is not a geometric variable")
-        p, shift, unit = table.p, table._shifts[idx], table._units[idx]
-        return GeomPoly._raw(table, {key - unit: c.scaled(e)
-                                     for key, c in self._t.items()
-                                     if (e := ((key >> shift) & MAX_DEGREE) % p)})
-
     def substituted(self, bindings: dict) -> GeomPoly:
         """Simultaneous substitution of geometric variables by GeomPoly
         values (or constants); binding a parameter raises ValueError.
@@ -854,6 +863,15 @@ class GeomPoly(_TermMap):
                 term = term * piece
             acc = acc + term
         return acc
+
+    def as_sparse(self) -> SparsePoly:
+        """The same polynomial with each coefficient's parameter monomials
+        moved into the keys, whose fields they do not share; a coefficient
+        that is not a polynomial raises ArithmeticError."""
+        if not all(c.den.is_one() for c in self._t.values()):
+            raise ArithmeticError(f"a coefficient of {self} is not a polynomial")
+        return SparsePoly._raw(self.table, {key + k: v for key, c in self._t.items()
+                                            for k, v in c.num._t.items()})
 
     def as_param_rational(self) -> ParamRational:
         if not self._t:
@@ -891,6 +909,14 @@ class GeomPoly(_TermMap):
         return c.is_one()
 
     @staticmethod
+    def _times(c: ParamRational, e: int) -> ParamRational:
+        return c.scaled(e)
+
+    @staticmethod
+    def _over(c: ParamRational, d: ParamRational) -> ParamRational:
+        return c / d
+
+    @staticmethod
     def _coeff_text(c) -> str:
         cs = str(c)
         return f"({cs})" if " " in cs or "/" in cs else cs
@@ -912,10 +938,10 @@ def strip_common_monomial(polys: list[GeomPoly]) -> list[GeomPoly]:
             for g in polys]
 
 
-def rewrite(f: GeomPoly, rules) -> GeomPoly:
+def rewrite(f, rules):
     """Apply monomial rewrite rules until no rule applies.
 
-    ``rules`` is a sequence of (lhs, rhs) pairs: a monomial with
+    ``rules`` is a sequence of (lhs, rhs) pairs of f's type: a monomial with
     coefficient one and its replacement polynomial.  Each step takes the
     first term of the current polynomial, in its term order, that some
     lhs divides, and the first such rule in the order given, and replaces
@@ -926,7 +952,7 @@ def rewrite(f: GeomPoly, rules) -> GeomPoly:
     packed = []
     for lhs, rhs in rules:
         terms = list(lhs._t.items())
-        if len(terms) != 1 or not terms[0][1].is_one():
+        if len(terms) != 1 or not lhs._unit_coeff(terms[0][1]):
             raise ValueError("a rewrite rule must start from a monomial")
         packed.append((terms[0][0], rhs))
     while True:
@@ -935,10 +961,10 @@ def rewrite(f: GeomPoly, rules) -> GeomPoly:
             return f
         key, step, rhs = redex
         c = f._t[key]
-        f = f - GeomPoly._raw(table, {key: c}) + GeomPoly._raw(table, {step: c}) * rhs
+        f = f - f._raw(table, {key: c}) + f._raw(table, {step: c}) * rhs
 
 
-def _first_redex(f: GeomPoly, packed: list):
+def _first_redex(f, packed: list):
     table = f.table
     for key in f._t:
         for lhs, rhs in packed:
@@ -962,75 +988,39 @@ class Derivation:
         self.table = table
         clean = {}
         for name, img in images.items():
-            idx = table.index(name)
+            table.index(name)
             img = GeomPoly.coerce(table, img)
             if not img.is_zero():
                 clean[name] = img
         self.images = clean
-        self._geom = tuple((table.index(n), img) for n, img in clean.items()
-                           if table.kind(n) == GEOM)
-        self._param = tuple((table.index(n), img) for n, img in clean.items()
-                            if table.kind(n) == PARAM)
-
-    def of_var(self, name: str) -> GeomPoly:
-        self.table.index(name)
-        return self.images.get(name, GeomPoly.zero(self.table))
-
-    def _apply_sparse(self, poly: SparsePoly) -> GeomPoly:
-        table = self.table
-        p = table.p
-        acc = GeomPoly.zero(table)
-        for key, c in poly._t.items():
-            for idx, img in self._param:
-                e = (key >> table._shifts[idx]) & MAX_DEGREE
-                if not e:
-                    continue
-                factor = (e * c) % p
-                if not factor:
-                    continue
-                lowered = key - table._units[idx]
-                mono = ParamRational(SparsePoly._raw(table, {lowered: factor}))
-                acc = acc + GeomPoly.const(table, mono) * img
-        return acc
-
-    def _apply_rational(self, c: ParamRational) -> GeomPoly:
-        dn = self._apply_sparse(c.num)
-        dd = self._apply_sparse(c.den)
-        table = self.table
-        if dn.is_zero() and dd.is_zero():
-            return GeomPoly.zero(table)
-        one = SparsePoly.const(table, 1)
-        part = dn.scaled(ParamRational(one, c.den))
-        if not dd.is_zero():
-            part = part - dd.scaled(ParamRational(c.num, c.den * c.den))
-        return part
+        self._geom = tuple((n, img) for n, img in clean.items() if table.kind(n) == GEOM)
+        self._param = tuple((n, img) for n, img in clean.items() if table.kind(n) == PARAM)
 
     def __call__(self, f: GeomPoly) -> GeomPoly:
         _same_table(self, f)
         table = self.table
-        p = table.p
         acc = GeomPoly.zero(table)
-        for key, coeff in f._t.items():
-            for idx, img in self._geom:
-                factor = ((key >> table._shifts[idx]) & MAX_DEGREE) % p
-                if not factor:
-                    continue
-                term = GeomPoly._raw(table, {key - table._units[idx]: coeff.scaled(factor)})
-                acc = acc + term * img
-            if self._param:
-                dc = self._apply_rational(coeff)
-                if not dc.is_zero():
-                    acc = acc + dc * GeomPoly._raw(
-                        table, {key: ParamRational.one(table)})
+        for name, img in self._geom:
+            acc = acc + f.partial(name) * img
+        # a parameter acts on each coefficient n/d by (n'd - nd')/d^2
+        for key, c in f._t.items():
+            for name, img in self._param:
+                top = c.num.partial(name) * c.den - c.num * c.den.partial(name)
+                if not top.is_zero():
+                    dc = ParamRational._make(top, c.den * c.den)
+                    acc = acc + GeomPoly._raw(table, {key: dc}) * img
         return acc
 
 
-def exact_divide(f: GeomPoly, g: GeomPoly) -> GeomPoly | None:
+def exact_divide(f, g):
     """Quotient f/g when g divides f exactly, else None.
 
     Multivariate trial division against the fixed graded-lex order; the
     first leading term not divisible by g's leading term already certifies
-    a nonzero remainder, so the scan can stop there.
+    a nonzero remainder, so the scan can stop there.  On ``SparsePoly``
+    values this decides divisibility in GF(p)[a][u], on ``GeomPoly``
+    values over the parameter field; for a divisor of content 1 in
+    GF(p)[a] the two agree by Gauss's lemma.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -1045,10 +1035,35 @@ def exact_divide(f: GeomPoly, g: GeomPoly) -> GeomPoly | None:
         step = _divided_key(table, r_key, g_key)
         if step is None:
             return None
-        c = r._t[r_key] / g_c
+        c = f._over(r._t[r_key], g_c)
         quotient[step] = c
-        r = r - GeomPoly._raw(table, {step: c}) * g
-    return GeomPoly._raw(table, quotient)
+        r = r - f._raw(table, {step: c}) * g
+    return f._raw(table, quotient)
+
+
+def pseudo_substitute(f: SparsePoly, name: str, lead: SparsePoly,
+                      rest: SparsePoly) -> SparsePoly:
+    """lead^k * f, k the degree of f in ``name``, with every lead*name
+    replaced by ``rest``, for a parameter monomial ``lead`` and a ``rest``
+    free of ``name``: the substitution name = rest/lead made fraction-free,
+    as in pseudo-division (Knuth, TAOCP vol. 2, 4.6.1).  A term c*m*name^e
+    becomes c*m*lead^(k-e)*rest^e.
+    """
+    _same_table(f, rest)
+    table, k = f.table, f.degree_in(name)
+    idx = table.index(name)
+    shift, unit, deg = table._shifts[idx], table._units[idx], table._deg_shift
+    ((lead_key, _),) = lead._t.items()
+    _check_degree((max(f._t, default=0) >> deg)
+                  + k * ((lead_key >> deg) + (max(rest._t, default=0) >> deg)))
+    powers = [rest ** e for e in range(k + 1)]
+    out: dict = {}
+    for key, c in f._t.items():
+        e = (key >> shift) & MAX_DEGREE
+        key += (k - e) * lead_key - e * unit
+        for k2, c2 in powers[e]._t.items():
+            out[key + k2] = out.get(key + k2, 0) + c * c2
+    return SparsePoly._raw(table, {key: r for key, c in out.items() if (r := c % table.p)})
 
 
 def root_monomial(table: VarTable, name: str, j: int) -> SparsePoly:

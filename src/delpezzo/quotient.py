@@ -18,9 +18,11 @@ computed kernel and, from the same kernel, checks the degree of the
 factorisation tower, so each presentation's matrix and kernel are
 computed once.  ``normal_form`` rewrites away all quadratic monomials in
 the t generators, which terminates because every rewrite strictly lowers
-the t-degree of the monomial it replaces.  ``jacobian_minors`` returns the
-minors as computed; ``t_coordinates`` is the one place that puts a minor
-into normal form.
+the t-degree of the monomial it replaces; ``t_coordinates`` is the one
+place that puts a Jacobian minor into normal form.  Both take flat
+``SparsePoly`` values too; ``BaseRingS.pseudo_reduce`` then reduces them
+fraction-free to a_elim^k times ``reduce`` (``surfaces.singular_locus``
+shows by Gauss's lemma that divisibility by h survives).
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from itertools import combinations
 from .algebra import (
     GeomPoly,
     ParamRational,
+    SparsePoly,
     VarTable,
+    pseudo_substitute,
     rewrite,
     strip_common_monomial,
 )
@@ -57,7 +61,7 @@ class BaseRingS:
     ring in two u's after eliminating the highest-index one via r_0."""
 
     __slots__ = ("table", "chart", "others", "x_names", "u_names",
-                 "elim_name", "r0", "_elim_binding")
+                 "elim_name", "r0", "_elim_binding", "_lead", "_rest")
 
     def __init__(self, table: VarTable, chart: int):
         if table.p != 2:
@@ -77,10 +81,18 @@ class BaseRingS:
             rest = rest + GeomPoly.var(table, f"u{m}").scaled(a[m])
         self.r0 = rest + GeomPoly.var(table, self.elim_name).scaled(a[elim])
         self._elim_binding = {self.elim_name: (-rest).scaled(a[elim].inverse())}
+        self._lead = a[elim].num
+        self._rest = (-rest).as_sparse()
 
     def reduce(self, f: GeomPoly) -> GeomPoly:
         """Canonical representative with the eliminated u substituted away."""
         return f.substituted(self._elim_binding)
+
+    def pseudo_reduce(self, f: SparsePoly) -> SparsePoly:
+        """a_elim^k * f reduced mod r_0 without fractions, k the degree of
+        f in u_elim: a_elim^k times ``reduce`` of f, zero exactly when f is
+        zero in S, a_elim being a unit of K."""
+        return pseudo_substitute(f, self.elim_name, self._lead, self._rest)
 
     def is_zero(self, f: GeomPoly) -> bool:
         return self.reduce(f).is_zero()
@@ -149,7 +161,7 @@ def derivation_matrix(delta, ring: BaseRingS):
     table = ring.table
     for i in table.param_indices:
         name = table.names[i]
-        if not delta.of_var(name).is_zero():
+        if name in delta.images:
             raise DerivationNotLinearError(
                 f"derivation does not kill the parameter {name}")
     for xn in ring.x_names:
@@ -369,9 +381,10 @@ class Presentation:
                    relations=relations, embedding=embedding, table=table)
 
 
-def t_rewrite_rules(pres: Presentation) -> list:
+def t_rewrite_rules(pres: Presentation, flat: bool = False) -> list:
     """Rules for ``rewrite`` sending each bare quadratic t-monomial to its
-    S-linear normal form, read off from the relations.
+    S-linear normal form, read off from the relations (``SparsePoly`` ones
+    when ``flat``).
 
     The rules are ordered by their t-pairs (0,0), (0,1), ..., (2,2), so
     the first rule dividing a monomial pairs its first t with itself when
@@ -392,20 +405,22 @@ def t_rewrite_rules(pres: Presentation) -> list:
                             for _ in range(exp[i])))
         rest = rel - GeomPoly(table, {exp: c})
         by_pair[pair] = (GeomPoly(table, {exp: 1}), (-rest).scaled(c.inverse()))
-    return [by_pair[pair] for pair in sorted(by_pair)]
+    rules = [by_pair[pair] for pair in sorted(by_pair)]
+    return [(lhs.as_sparse(), rhs.as_sparse()) for lhs, rhs in rules] if flat else rules
 
 
-def normal_form(f: GeomPoly, pres: Presentation, rules: list | None = None) -> GeomPoly:
+def normal_form(f, pres: Presentation, rules: list | None = None):
     """Rewrite every monomial of t-degree >= 2 until none remains.
 
     Each step removes one monomial of t-degree d and inserts monomials of
     t-degree at most d - 1, so the multiset of t-degrees strictly
-    decreases and the loop terminates.  The result is the unique S-linear
-    combination of 1, t_a, t_b, t_c representing f in the quotient ring.
-    A monomial of t-degree >= 2 that no rule reduces raises ValueError.
+    decreases and the loop terminates.  The result, of f's type, is the
+    unique S-linear combination of 1, t_a, t_b, t_c representing f in the
+    quotient ring.  A monomial of t-degree >= 2 that no rule reduces
+    raises ValueError.
     """
     if rules is None:
-        rules = t_rewrite_rules(pres)
+        rules = t_rewrite_rules(pres, isinstance(f, SparsePoly))
     nf = rewrite(f, rules)
     if len(rules) < 6:
         # the rules start from distinct t-pairs; with all six, every
@@ -417,35 +432,31 @@ def normal_form(f: GeomPoly, pres: Presentation, rules: list | None = None) -> G
     return nf
 
 
-def t_coordinates(f: GeomPoly, pres: Presentation, rules: list | None = None):
+def t_coordinates(f, pres: Presentation, rules: list | None = None):
     """Normal form split into its four S-coordinates on 1, t_a, t_b, t_c."""
-    nf = normal_form(f, pres, rules)
-    table = pres.table
-    names = table.names
-    coords = [GeomPoly.zero(table) for _ in range(4)]
-    for exp, c in nf.terms.items():
-        exps = {names[i]: e for i, e in enumerate(exp) if e}
-        slot = 0
-        for pos, t in enumerate(pres.t_names):
-            if exps.pop(t, 0):
-                slot = 1 + pos
-                break
-        coords[slot] = coords[slot] + GeomPoly.monomial(table, exps, c)
-    return tuple(coords)
+    return normal_form(f, pres, rules).linear_parts(pres.t_names)
 
 
-def jacobian_minors(relations, var_names, size: int):
+def jacobian(relations, var_names) -> list[list]:
+    """The matrix d(relation)/d(var), one row per relation and one column
+    per variable, each entry taken once."""
+    return [[rel.partial(v) for v in var_names] for rel in relations]
+
+
+def jacobian_minors(relations, var_names, size: int, jac=None):
     """All size x size minors of the Jacobian d(relations)/d(vars).
 
-    Returns ((row indices, column indices), minor) pairs with the minors
-    as computed, not in normal form (``t_coordinates`` takes them there).
-    Subdeterminants are memoised across minors, which keeps the full 4x4
-    scan cheap.
+    A caller holding this Jacobian (a block of a larger one, say) passes
+    it as ``jac``.  Returns ((row indices, column indices), minor) pairs
+    with the minors as computed, not in normal form (``t_coordinates``
+    takes them there).  Subdeterminants are memoised across minors, which
+    keeps the full 4x4 scan cheap.
     """
     if size < 1 or size > min(len(relations), len(var_names)):
         raise ValueError("minor size exceeds the Jacobian")
-    zero = GeomPoly.zero(relations[0].table)
-    jac = [[rel.partial(v) for v in var_names] for rel in relations]
+    if jac is None:
+        jac = jacobian(relations, var_names)
+    zero = relations[0].zero(relations[0].table)
     cache: dict = {}
     return [((rows, cols), determinant(jac, zero, rows, cols, cache))
             for rows in combinations(range(len(relations)), size)

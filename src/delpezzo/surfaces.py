@@ -24,8 +24,8 @@ is geometrically reduced.  No check carries a tolerance; everything is an
 identity in polynomial or rational arithmetic.
 
 Each stage runs once per chart: ``chart_table`` hands out one table per
-(chart, depth), and ``singular_locus`` puts each minor into normal form
-once and reduces ``h`` and each coordinate once.
+(chart, depth), and ``singular_locus`` takes each Jacobian entry, normal
+form and reduction once.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .quotient import (
     alpha_value,
     determinant,
     frobenius_factorization_check,  # noqa: F401  (bench/tracer.py traces it here)
+    jacobian,
     jacobian_minors,
     t_coordinates,
     t_rewrite_rules,
@@ -280,11 +281,19 @@ def quotient_presentation(fol: FoliationSpec) -> tuple[Presentation, list[CheckR
     return pres, checks
 
 
-def _h_polynomial(table: VarTable, i0: int) -> GeomPoly:
-    h = GeomPoly.const(table, alpha_value(table, i0))
+def _h_polynomial(table: VarTable, i0: int) -> SparsePoly:
+    h = alpha_value(table, i0).num
     for m in others(i0):
-        h = h + (GeomPoly.var(table, f"u{m}") ** 2).scaled(alpha_value(table, m))
+        h = h + alpha_value(table, m).num * SparsePoly.var(table, f"u{m}", 2)
     return h
+
+
+def undivided_minors(minors, pres: Presentation, rules, reduce, divisor) -> list:
+    """Index pairs of the minors with a t-coordinate that ``divisor`` does
+    not divide once ``reduce`` has taken it into S."""
+    return [index for index, minor in minors
+            if any(exact_divide(reduce(coord), divisor) is None
+                   for coord in t_coordinates(minor, pres, rules))]
 
 
 def singular_locus(pres: Presentation) -> list[CheckResult]:
@@ -295,51 +304,67 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
     1, t_a, t_b, t_c coordinates); the 3x3 minors of the u-block are 0 and
     (u_m + u_m^2) h; the 2x2 minors of the t-block all collapse to
     relations; and the 0/1 parameter sums certify that the t-block's
-    diagonal entries generate the unit ideal.
+    diagonal entries generate the unit ideal.  The 42 Jacobian entries are
+    taken once and both blocks are read off them.
+
+    The scan runs fraction-free on flat values in R = GF(2)[a][u, t]: a
+    value f of S = K[u]/(r_0) becomes F = a_e^k f reduced mod r_0 by
+    pseudo-division (``BaseRingS.pseudo_reduce``, e the eliminated index),
+    zero exactly when f is, a_e being a unit of K.  The divisor is
+    h' = a_e h mod r_0 = sum_j a_j (a_j + a_e) u_j^2 (u_i0 := 1); its
+    coefficients are products of pairwise coprime linear forms, so its
+    content is 1.  Then h | f in S iff h' | F in K[u], and by Gauss's
+    lemma iff h' | F in R (if h' c q0 = F with c in K and q0 in R
+    primitive, h' q0 is primitive, so c lies in GF(2)[a]), which trial
+    division over GF(2) decides.  The argument needs that closed form, so
+    a_e h' is checked against a_e^2 h mod r_0; a mismatch, like a relation
+    with a non-polynomial coefficient, raises ArithmeticError instead of
+    reporting a FAIL.  Only a failing u-block minor goes back to rational
+    coefficients, for its witness.
     """
     table = pres.table
     i0 = pres.chart
     ring = BaseRingS(table, i0)
-    rules = t_rewrite_rules(pres)
-    rels = list(pres.relations.values())
-    rel_names = list(pres.relations.keys())
-    var_names = list(pres.generators)
-    h = ring.reduce(_h_polynomial(table, i0))
+    rules = t_rewrite_rules(pres, flat=True)
+    rel_names = list(pres.relations)
+    rels = [rel.as_sparse() for rel in pres.relations.values()]
+    alpha = {i: alpha_value(table, i) for i in range(4)}
+    a, e = {i: alpha[i].num for i in range(4)}, others(i0)[-1]
+    closed = sum((a[m] * (a[m] + a[e]) * SparsePoly.var(table, f"u{m}", 2)
+                  for m in others(i0)), a[i0] * (a[i0] + a[e]))
+    h = _h_polynomial(table, i0)
+    if ring.pseudo_reduce(h) != a[e] * closed:
+        raise ArithmeticError("a_e*h reduced mod r_0 is not its primitive closed form")
     out = []
 
-    minors = jacobian_minors(rels, var_names, 4)
-    bad = []
-    for (rows, cols), minor in minors:
-        for coord in t_coordinates(minor, pres, rules):
-            if exact_divide(ring.reduce(coord), h) is None:
-                bad.append((rows, cols))
-                break
+    jac = jacobian(rels, pres.generators)
+    minors = jacobian_minors(rels, pres.generators, 4, jac)
+    bad = undivided_minors(minors, pres, rules, ring.pseudo_reduce, closed)
     out.append(check("minors_divisible_by_h", not bad,
                      f"checked {len(minors)} minors"
                      + (f", failures at {bad[:4]}" if bad else "")))
 
-    top = jacobian_minors(rels[:4], pres.u_names, 3)
-    expected = {(1, 2, 3): GeomPoly.zero(table)}
+    top = jacobian_minors(rels[:4], pres.u_names, 3, [row[:3] for row in jac[:4]])
+    expected = {(1, 2, 3): SparsePoly.zero(table)}
     for drop, m in enumerate(others(i0)):
         rows = tuple(sorted(set(range(4)) - {drop + 1}))
-        u = GeomPoly.var(table, f"u{m}")
+        u = SparsePoly.var(table, f"u{m}")
         expected[rows] = (u + u ** 2) * h
     for (rows, _cols), minor in top:
-        ok = ring.eq(minor, expected[rows])
+        ok = ring.pseudo_reduce(minor - expected[rows]).is_zero()
         label = ",".join(rel_names[r] for r in rows)
         out.append(check(f"u_block_minor[{label}]", ok,
-                         None if ok else f"minor={ring.reduce(minor)}"))
+                         None if ok else f"minor={ring.reduce(minor.as_geom())}"))
 
-    lower = jacobian_minors(rels[4:], pres.t_names, 2)
+    lower = jacobian_minors(rels[4:], pres.t_names, 2, [row[3:] for row in jac[4:]])
     for (rows, cols), minor in lower:
         coords = t_coordinates(minor, pres, rules)
-        vanishes = all(ring.is_zero(c) for c in coords)
-        named = [n for n, rel in pres.relations.items() if rel == minor]
+        vanishes = all(ring.pseudo_reduce(c).is_zero() for c in coords)
+        named = [n for n, rel in zip(rel_names, rels) if rel == minor]
         witness = f"equals {named[0]}" if named else None
         out.append(check(f"t_block_minor[rows={rows},cols={cols}]",
                          vanishes, witness))
 
-    alpha = {i: alpha_value(table, i) for i in range(4)}
     for eps in product((0, 1), repeat=3):
         value = alpha[i0]
         for bit, m in zip(eps, others(i0)):

@@ -13,6 +13,8 @@ from delpezzo.algebra import (
     VarTable,
     exact_divide,
 )
+from delpezzo.quotient import BaseRingS, jacobian_minors
+from delpezzo.surfaces import _h_polynomial, build_presentation, others
 from randpoly import (
     make_table,
     random_nonzero_geom,
@@ -122,3 +124,67 @@ def test_rational_equality_matches_sympy_cancel(p):
         assert (a == b) == (diff == 0)
         outcomes.add(a == b)
     assert outcomes == {True, False}
+
+
+def chart_setup(chart):
+    """Presentation, ring, sympy symbols by name, and the sympy expression
+    of h on the chart."""
+    pres = build_presentation(chart)
+    table = pres.table
+    sym = {n: sp.Symbol(n) for n in table.names}
+    h = sym[f"a{chart}"] + sp.Add(*[sym[f"a{m}"] * sym[f"u{m}"] ** 2 for m in others(chart)])
+    return pres, BaseRingS(table, chart), sym, h
+
+
+def reduced_mod_r0(expr, chart, sym):
+    """The numerator of expr with u_e = (a_i0 + the other a_m u_m)/a_e
+    substituted, e the chart's eliminated index, as a GF(2) polynomial."""
+    *kept, e = others(chart)
+    rest = sym[f"a{chart}"] + sp.Add(*[sym[f"a{m}"] * sym[f"u{m}"] for m in kept])
+    num, _ = sp.fraction(sp.together(expr.subs(sym[f"u{e}"], rest / sym[f"a{e}"])))
+    return sp.Poly(sp.expand(num), *sym.values(), modulus=2)
+
+
+@pytest.mark.parametrize("chart", (0, 1, 2, 3))
+def test_primitive_divisor_has_content_one(chart):
+    pres, ring, sym, h = chart_setup(chart)
+    table = pres.table
+    e = others(chart)[-1]
+    reduced = ring.pseudo_reduce(_h_polynomial(table, chart))
+    divisor = exact_divide(reduced, SparsePoly.var(table, f"a{e}"))
+    syms = list(sym.values())
+    # h' = a_e * h mod r_0, computed by sympy
+    assert reduced_mod_r0(sym[f"a{e}"] * h, chart, sym) == as_gf_poly(divisor, syms, 2)
+    params = [sym[f"a{i}"] for i in range(4)]
+    coeffs: dict = {}
+    for exp, c in divisor.terms.items():
+        geom = tuple(x if k == GEOM else 0 for x, k in zip(exp, table.kinds))
+        param = sp.Mul(*[s ** x for s, x, k in zip(syms, exp, table.kinds) if k == PARAM])
+        coeffs[geom] = coeffs.get(geom, 0) + c * param
+    assert len(coeffs) == 3
+    content = sp.Poly(0, *params, modulus=2)
+    for coeff in coeffs.values():
+        content = content.gcd(sp.Poly(coeff, *params, modulus=2))
+    assert content == sp.Poly(1, *params, modulus=2)
+
+
+@pytest.mark.parametrize("chart", (0, 1, 2, 3))
+def test_u_block_minors_are_h_multiples(chart):
+    pres, ring, sym, h = chart_setup(chart)
+    syms = list(sym.values())
+    u_syms = [sym[n] for n in pres.u_names]
+    rels = [sparse_expr(rel.as_sparse(), syms) for rel in list(pres.relations.values())[:4]]
+    jac = sp.Matrix([[sp.diff(r, u) for u in u_syms] for r in rels])
+    ours = dict(jacobian_minors([rel.as_sparse() for rel in pres.relations.values()][:4],
+                                pres.u_names, 3))
+    assert len(ours) == 4
+    for dropped in range(4):
+        rows = tuple(r for r in range(4) if r != dropped)
+        minor = jac.extract(list(rows), [0, 1, 2]).det()
+        assert as_gf_poly(ours[(rows, (0, 1, 2))], syms, 2) == sp.Poly(minor, *syms, modulus=2)
+        if dropped == 0:
+            expected = 0
+        else:
+            u = sym[pres.u_names[dropped - 1]]
+            expected = (u + u ** 2) * h
+        assert reduced_mod_r0(minor - expected, chart, sym).is_zero

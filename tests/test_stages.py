@@ -59,6 +59,19 @@ class TestStageCounts:
         # the 525 4x4 minors and the 9 t-block 2x2 minors
         assert len(calls) == 525 + 9
 
+    def test_singular_locus_takes_each_jacobian_entry_once(self, monkeypatch):
+        orig = algebra._TermMap.partial
+        calls = []
+
+        def counted(self, name):
+            calls.append(name)
+            return orig(self, name)
+        monkeypatch.setattr(algebra._TermMap, "partial", counted)
+        checks = singular_locus(build_presentation(0))
+        assert all(c.passed for c in checks)
+        # the 7x6 Jacobian; the u-block and t-block minors are read off it
+        assert len(calls) == 7 * 6
+
     def test_emit_round_trip_compares_no_distinct_tables(self, monkeypatch, tmp_path):
         distinct = []
         orig = VarTable.__eq__
