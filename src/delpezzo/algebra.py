@@ -1,18 +1,19 @@
 """Exact sparse polynomial and rational-function arithmetic over GF(p).
 
-The value model has three layers:
+The value model has two term maps and one fraction arithmetic:
 
 * ``SparsePoly``: a sparse polynomial over GF(p) in the variables of one
   ``VarTable``, which also stores p, kept as a canonical map from packed
   monomial keys to nonzero residues.  Dict equality therefore decides
   polynomial equality.
-* ``ParamRational``: a quotient of two parameter-only sparse polynomials.
-  Equality is decided by cross multiplication, which is exact because the
-  polynomial ring is an integral domain.  Normalisation only strips a
-  common monomial factor and scales the denominator's leading coefficient
-  to one; no multivariate gcd is ever computed.  The constructor and
-  ``from_json`` check that both parts are parameter-only; ring operations
-  skip the check, since they cannot leave the parameter subring.
+* ``RingFraction``: num/den over an integral domain, one implementation
+  of the field operations, with equality by cross multiplication; a
+  subclass supplies only its normal form.  ``ParamRational``, a quotient
+  of parameter-only sparse polynomials, strips a common monomial factor
+  and makes the denominator monic (no multivariate gcd is ever computed);
+  its constructor and ``from_json`` check that both parts are
+  parameter-only, which ring operations cannot break.  The other
+  subclass is ``quotient.SFraction``.
 * ``GeomPoly``: a polynomial in the geometric variables whose coefficients
   are ``ParamRational`` values, on the same packed keys with every
   parameter field zero.  Its ``substituted`` binds geometric variables
@@ -567,25 +568,93 @@ def _normalised(num: SparsePoly, den: SparsePoly):
     return num, den
 
 
-class ParamRational:
-    """Quotient of parameter-only sparse polynomials.
-
-    The denominator is never zero.  Equality is tested by cross
-    multiplication, so the light normalisation here (strip a common
-    monomial factor, monic denominator) is cosmetic, not semantic.
-
-    The constructor and ``from_json`` validate that both parts involve
-    parameters only.  Arithmetic results are built by
-    ``_make`` without that check: sums, products, powers and p-th roots
-    of parameter-only polynomials are parameter-only.
-    """
+class RingFraction:
+    """num/den over an integral domain, the arithmetic ``ParamRational``
+    and ``quotient.SFraction`` share.  A subclass supplies only the
+    idempotent hook ``normalise(num, den)``, through which ``_make`` builds
+    every result.  Equality is by cross multiplication, so the normal form
+    is cosmetic; adding zero returns the other operand as it is."""
 
     __slots__ = ("num", "den")
 
+    @classmethod
+    def _make(cls, num, den):
+        """Normal form of num/den, unvalidated: one table, den nonzero."""
+        value = object.__new__(cls)
+        value.num, value.den = cls.normalise(num, den)
+        return value
+
+    @property
+    def table(self) -> VarTable:
+        return self.num.table
+
+    def is_zero(self) -> bool:
+        return not self.num._t
+
+    def is_one(self) -> bool:
+        return self.num._t == self.den._t
+
+    def __add__(self, other):
+        _same_table(self.num, other.num)
+        if not self.num._t:
+            return other
+        if not other.num._t:
+            return self
+        if self.den._t == other.den._t:
+            return self._make(self.num + other.num, self.den)
+        return self._make(self.num * other.den + other.num * self.den,
+                          self.den * other.den)
+
+    def __neg__(self):
+        return self._make(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        _same_table(self.num, other.num)
+        return self._make(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by a zero fraction")
+        return self._make(self.num * other.den, self.den * other.num)
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("a zero fraction has no inverse")
+        return self._make(self.den, self.num)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        _same_table(self.num, other.num)
+        if self.den._t == other.den._t:
+            return self.num._t == other.num._t
+        return (self.num * other.den)._t == (other.num * self.den)._t
+
+    __hash__ = None
+
+    def __str__(self):
+        if self.den.is_one():
+            return str(self.num)
+        return f"({self.num})/({self.den})"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class ParamRational(RingFraction):
+    """Quotient of parameter-only sparse polynomials.  The constructor
+    and ``from_json`` validate that; ``_make`` skips the check, since sums,
+    products, powers and p-th roots of such polynomials are parameter-only.
+    """
+
+    __slots__ = ()
+
     def __init__(self, num: SparsePoly, den: SparsePoly | None = None):
-        table = num.table
         if den is None:
-            den = SparsePoly.const(table, 1)
+            den = SparsePoly.const(num.table, 1)
         _same_table(num, den)
         if den.is_zero():
             raise ZeroDenominatorError("denominator is zero")
@@ -593,17 +662,9 @@ class ParamRational:
             raise ValueError("rational coefficients must involve parameters only")
         self.num, self.den = _normalised(num, den)
 
-    @staticmethod
-    def _make(num: SparsePoly, den: SparsePoly) -> ParamRational:
-        """Unvalidated construction from parameter-only parts over one
-        table with a nonzero denominator."""
-        value = object.__new__(ParamRational)
-        value.num, value.den = _normalised(num, den)
-        return value
-
-    @property
-    def table(self) -> VarTable:
-        return self.num.table
+    normalise = staticmethod(_normalised)
+    # bound here as well: bench/tracer.py wraps them in this class's namespace
+    __add__, __mul__, __eq__ = RingFraction.__add__, RingFraction.__mul__, RingFraction.__eq__
 
     @classmethod
     def zero(cls, table: VarTable) -> ParamRational:
@@ -621,39 +682,6 @@ class ParamRational:
     def var(cls, table: VarTable, name: str, power: int = 1) -> ParamRational:
         return cls(SparsePoly.var(table, name, power))
 
-    def is_zero(self) -> bool:
-        return not self.num._t
-
-    def is_one(self) -> bool:
-        return self.num == self.den
-
-    def __add__(self, other: ParamRational) -> ParamRational:
-        _same_table(self.num, other.num)
-        if self.den._t == other.den._t:
-            return ParamRational._make(self.num + other.num, self.den)
-        return ParamRational._make(self.num * other.den + other.num * self.den,
-                                   self.den * other.den)
-
-    def __neg__(self) -> ParamRational:
-        return ParamRational._make(-self.num, self.den)
-
-    def __sub__(self, other: ParamRational) -> ParamRational:
-        return self + (-other)
-
-    def __mul__(self, other: ParamRational) -> ParamRational:
-        _same_table(self.num, other.num)
-        return ParamRational._make(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: ParamRational) -> ParamRational:
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational")
-        return ParamRational._make(self.num * other.den, self.den * other.num)
-
-    def inverse(self) -> ParamRational:
-        if self.is_zero():
-            raise ZeroDivisionError("zero rational has no inverse")
-        return ParamRational._make(self.den, self.num)
-
     def scaled(self, c: int) -> ParamRational:
         return ParamRational._make(self.num.scaled(c), self.den)
 
@@ -661,18 +689,6 @@ class ParamRational:
         if n < 0:
             return self.inverse() ** (-n)
         return ParamRational._make(self.num ** n, self.den ** n)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = ParamRational.const(self.table, other)
-        if not isinstance(other, ParamRational):
-            return NotImplemented
-        _same_table(self.num, other.num)
-        if self.den._t == other.den._t:
-            return self.num._t == other.num._t
-        return (self.num * other.den)._t == (other.num * self.den)._t
-
-    __hash__ = None
 
     def frobenius(self) -> ParamRational:
         return ParamRational._make(self.num.frobenius(), self.den.frobenius())
@@ -700,13 +716,6 @@ class ParamRational:
         return cls(SparsePoly.from_json(table, data["num"], names),
                    SparsePoly.from_json(table, data["den"], names))
 
-    def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"ParamRational({self})"
 
 
 def _as_rational(table: VarTable, value) -> ParamRational:
@@ -867,11 +876,16 @@ class GeomPoly(_TermMap):
     def as_sparse(self) -> SparsePoly:
         """The same polynomial with each coefficient's parameter monomials
         moved into the keys, whose fields they do not share; a coefficient
-        that is not a polynomial raises ArithmeticError."""
-        if not all(c.den.is_one() for c in self._t.values()):
-            raise ArithmeticError(f"a coefficient of {self} is not a polynomial")
-        return SparsePoly._raw(self.table, {key + k: v for key, c in self._t.items()
-                                            for k, v in c.num._t.items()})
+        that is not a polynomial raises ArithmeticError.  A polynomial
+        coefficient may be stored over a denominator dividing its numerator."""
+        out = {}
+        for key, c in self._t.items():
+            num = c.num if c.den.is_one() else exact_divide(c.num, c.den)
+            if num is None:
+                raise ArithmeticError(f"a coefficient of {self} is not a polynomial")
+            for k, v in num._t.items():
+                out[key + k] = v
+        return SparsePoly._raw(self.table, out)
 
     def as_param_rational(self) -> ParamRational:
         if not self._t:

@@ -76,8 +76,10 @@ def riemann_roch_chi(chi_O: int, D_self: int, D_dot_K: int) -> int:
     return chi_O + (D_self - D_dot_K) // 2
 
 
-def _sum_term(p: int, m: int, d: int) -> Fraction:
-    return Fraction(m * p * (p - 1) * d * (3 + m * (2 * p - 1)), 12)
+def _sum_slope(p: int, m: int) -> int:
+    """c = m p (p-1) (3 + m(2p-1)), so that the closed-form term of the
+    chi sum is c d / 12."""
+    return m * p * (p - 1) * (3 + m * (2 * p - 1))
 
 
 def torsor_chi_sum(params: DelPezzoParams) -> int:
@@ -88,9 +90,10 @@ def torsor_chi_sum(params: DelPezzoParams) -> int:
     must agree exactly.
     """
     p, m, d = params.p, params.m, params.d
-    if (m * p * (p - 1) * d * (3 + m * (2 * p - 1))) % 12:
+    term, rem = divmod(_sum_slope(p, m) * d, 12)
+    if rem:
         raise ValueError("closed form is not integral for these inputs")
-    closed = params.chi_X * p + int(_sum_term(p, m, d))
+    closed = params.chi_X * p + term
     brute = 0
     for i in range(p):
         brute += riemann_roch_chi(params.chi_X, (m * i) ** 2 * d, -(m * i) * d)
@@ -104,7 +107,7 @@ def main_equation(params: DelPezzoParams):
     """Solve p^e (1 - q_Z) = p - p q_X + m p (p-1) d (3 + m(2p-1)) / 12
     for q_Z; INFEASIBLE when the solution is not a nonnegative integer."""
     p, m, e, d = params.p, params.m, params.e, params.d
-    term = _sum_term(p, m, d)
+    term = Fraction(_sum_slope(p, m) * d, 12)
     if term.denominator != 1:
         raise ValueError("closed form is not integral for these inputs")
     rhs = Fraction(p - p * params.q_X) + term
@@ -128,7 +131,7 @@ def scan_is_conclusive(p_max: int, m_max: int, d_max: int) -> bool:
     the largest admissible left side p just past the box, no solution can
     hide beyond the box.
     """
-    return all(_sum_term(p, 1, d_max + 1) > p and _sum_term(p, m_max + 1, 1) > p
+    return all(_sum_slope(p, 1) * (d_max + 1) > 12 * p and _sum_slope(p, m_max + 1) > 12 * p
                for p in range(2, p_max + 1) if is_prime(p))
 
 
@@ -146,7 +149,7 @@ def solve_q1(p_max: int = 13, m_max: int = 20, d_max: int = 100) -> list[tuple[i
         if not is_prime(p):
             continue
         for m in range(1, m_max + 1):
-            c = m * p * (p - 1) * (3 + m * (2 * p - 1))
+            c = _sum_slope(p, m)
             for e in (0, 1):
                 d, rem = divmod(12 * p ** e, c)
                 if not rem and 1 <= d <= d_max:
@@ -183,7 +186,7 @@ def inequality_bound(p: int, d: int) -> Fraction:
 def exact_lower_bound(p: int, m: int, e: int, d: int) -> Fraction:
     """The sharper bound 1 - 1/p^(1-e) + m d (p-1)(3 + m(2p-1)) / 12."""
     return (1 - Fraction(1, p ** (1 - e))
-            + Fraction(m * d * (p - 1) * (3 + m * (2 * p - 1)), 12))
+            + Fraction(_sum_slope(p, m) * d, 12 * p))
 
 
 ATTAINED = {(1, 1), (2, 1)}

@@ -8,9 +8,9 @@ the u's by eliminating the u with the highest index through r_0.
 
 The quotient surface's chart ring is the kernel of the foliation
 derivation acting S-linearly on M.  The kernel is computed by exact
-Gaussian elimination over Frac(S) and denominators are cleared afterwards,
-so every returned coordinate lies in S and the matrix identity
-mat * v = 0 is rechecked exactly.
+Gaussian elimination over Frac(S) (``SFraction``, an ``algebra.RingFraction``)
+and denominators are cleared afterwards, so every returned coordinate
+lies in S and the matrix identity mat * v = 0 is rechecked exactly.
 
 ``Presentation`` carries the expected generators, relations and embedding
 of the quotient ring; ``verify_presentation`` certifies them against the
@@ -33,6 +33,7 @@ from itertools import combinations
 from .algebra import (
     GeomPoly,
     ParamRational,
+    RingFraction,
     SparsePoly,
     VarTable,
     pseudo_substitute,
@@ -61,7 +62,7 @@ class BaseRingS:
     ring in two u's after eliminating the highest-index one via r_0."""
 
     __slots__ = ("table", "chart", "others", "x_names", "u_names",
-                 "elim_name", "r0", "_elim_binding", "_lead", "_rest")
+                 "elim_name", "_elim_binding", "_lead", "_rest")
 
     def __init__(self, table: VarTable, chart: int):
         if table.p != 2:
@@ -79,7 +80,6 @@ class BaseRingS:
         rest = GeomPoly.const(table, a[chart])
         for m in self.others[:-1]:
             rest = rest + GeomPoly.var(table, f"u{m}").scaled(a[m])
-        self.r0 = rest + GeomPoly.var(table, self.elim_name).scaled(a[elim])
         self._elim_binding = {self.elim_name: (-rest).scaled(a[elim].inverse())}
         self._lead = a[elim].num
         self._rest = (-rest).as_sparse()
@@ -187,77 +187,30 @@ def matrix_apply(mat, vec: ModuleVector) -> ModuleVector:
     return ModuleVector(ring, tuple(out))
 
 
-class SFraction:
-    """Fraction of canonical S-elements, used for exact elimination."""
+class SFraction(RingFraction):
+    """Fraction of canonical S-elements, used for exact elimination; its
+    normal form makes the denominator's leading coefficient one."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
-    def __init__(self, num: GeomPoly, den: GeomPoly | None = None):
-        table = num.table
-        if den is None:
-            den = GeomPoly.one(table)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in a ring fraction")
+    def __init__(self, num: GeomPoly):
+        self.num, self.den = self.normalise(num, GeomPoly.one(num.table))
+
+    @staticmethod
+    def normalise(num: GeomPoly, den: GeomPoly):
         if num.is_zero():
-            den = GeomPoly.one(table)
-        else:
-            _, lc = den.lead_term()
-            if not lc.is_one():
-                inv = lc.inverse()
-                num = num.scaled(inv)
-                den = den.scaled(inv)
-        self.num = num
-        self.den = den
+            return num, GeomPoly.one(num.table)
+        _, lc = den.lead_term()
+        if lc.is_one():
+            return num, den
+        inv = lc.inverse()
+        return num.scaled(inv), den.scaled(inv)
 
-    @classmethod
-    def zero(cls, table: VarTable) -> "SFraction":
-        return cls(GeomPoly.zero(table))
-
-    @classmethod
-    def one(cls, table: VarTable) -> "SFraction":
-        return cls(GeomPoly.one(table))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "SFraction") -> "SFraction":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.den == other.den:
-            return SFraction(self.num + other.num, self.den)
-        return SFraction(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
-
-    def __neg__(self) -> "SFraction":
-        return SFraction(-self.num, self.den)
-
-    def __sub__(self, other: "SFraction") -> "SFraction":
-        return self + (-other)
-
-    def __mul__(self, other: "SFraction") -> "SFraction":
-        return SFraction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "SFraction") -> "SFraction":
-        return self * other.inverse()
-
-    def inverse(self) -> "SFraction":
-        if self.is_zero():
-            raise ZeroDivisionError("zero fraction has no inverse")
-        return SFraction(self.den, self.num)
-
-    def __eq__(self, other):
-        if not isinstance(other, SFraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+    # bound here as well: bench/tracer.py wraps them in this class's namespace
+    __add__, __sub__, __neg__, __mul__, __truediv__, inverse, __eq__ = (
+        RingFraction.__add__, RingFraction.__sub__, RingFraction.__neg__,
+        RingFraction.__mul__, RingFraction.__truediv__, RingFraction.inverse,
+        RingFraction.__eq__)
 
 
 def _rref(rows, width: int):
@@ -305,8 +258,8 @@ def kernel_basis(mat, ring: BaseRingS) -> list[ModuleVector]:
     for free in range(n):
         if free in pivot_set:
             continue
-        coords = [SFraction.zero(table) for _ in range(n)]
-        coords[free] = SFraction.one(table)
+        coords = [SFraction(GeomPoly.zero(table)) for _ in range(n)]
+        coords[free] = SFraction(GeomPoly.one(table))
         for r, pc in enumerate(pivots):
             coords[pc] = -rows[r][free]
         vec = _clear_denominators(coords, ring)
@@ -565,7 +518,7 @@ def verify_presentation(pres: Presentation, ring: BaseRingS, delta) -> list[Chec
     claimed = [GeomPoly.one(table)] + [pres.embedding[t] for t in pres.t_names]
     claimed_vecs = [to_module_vector(g, ring) for g in claimed]
     if len(kern) == 4:
-        zero = SFraction.zero(table)
+        zero = SFraction(GeomPoly.zero(table))
         fwd = _solve_span(kern, claimed_vecs, ring)
         det_fwd = determinant(fwd, zero) if fwd is not None else None
         ok_fwd = det_fwd is not None and not det_fwd.is_zero()

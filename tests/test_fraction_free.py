@@ -60,6 +60,28 @@ class TestFlatPrimitives:
         with pytest.raises(ArithmeticError, match="not a polynomial"):
             x1.scaled(ParamRational(a0, a1)).as_sparse()
 
+    def test_polynomial_coefficient_over_a_denominator_is_flat(self):
+        table = make_table()
+        a0, a1 = SparsePoly.var(table, "a0"), SparsePoly.var(table, "a1")
+        x1 = GeomPoly.var(table, "x1")
+        # a0 stored as (a0^2 + a0*a1)/(a0 + a1): no monomial factor to strip
+        stored = ParamRational(a0 * a0 + a0 * a1, a0 + a1)
+        assert not stored.den.is_one()
+        assert x1.scaled(stored).as_sparse() == a0 * x1.as_sparse()
+
+    def test_relation_over_a_denominator_verifies(self):
+        pres = build_presentation(0)
+        payload = pres.to_json()
+        a0, a1 = (SparsePoly.var(pres.table, n) for n in ("a0", "a1"))
+        stored = ParamRational(a0 * a0 + a0 * a1, a0 + a1).to_json()
+        (r0,) = [rel for rel in payload["relations"] if rel["name"] == "r_0"]
+        (const,) = [row for row in r0["terms"] if not any(row["exponents"])]
+        const["coeff_num"], const["coeff_den"] = stored["num"], stored["den"]
+        loaded = cli.load_presentation(payload)
+        assert loaded == pres
+        assert not loaded.relations["r_0"].coefficient({}).den.is_one()
+        assert singular_locus(loaded) == singular_locus(pres)
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_exact_divide_in_the_flat_ring(self, p):
         rng = random.Random(811 + p)
