@@ -20,7 +20,14 @@ The value model has two term maps and one fraction arithmetic:
   only.  With polynomial coefficients it is a ``SparsePoly`` on the same
   table (``as_sparse``), the fraction-free form in GF(p)[a][x], where
   ``pseudo_substitute`` eliminates a variable by pseudo-division; both
-  types share ``partial``, ``rewrite`` and ``exact_divide``.
+  types share ``partial``, ``rewrite`` and ``exact_divide``.  A product
+  of two ``GeomPoly`` values takes one of two routes.  When every
+  coefficient's denominator is a monomial, each factor is lifted to one
+  integer term map (denominators cleared by their lcm, geometric keys
+  above the parameter keys) and the two maps are multiplied once; else
+  each pair of terms costs one ``ParamRational`` product and sum.  Both
+  give the same representation: over a monomial denominator the normal
+  form is the unique one of a Laurent polynomial.
 
 Both polynomial types share one monomial layout, known only to this
 module.  A key is one int: a ``FIELD_BITS``-bit field per variable (the
@@ -536,15 +543,28 @@ def _spread(table: VarTable, idxs, exponents) -> tuple:
 
 
 def _content_key(table: VarTable, keys: list) -> int:
-    """Packed key of the largest monomial dividing every key given."""
+    """Packed key of the largest monomial dividing every key given; only
+    the fields of the first key can be nonzero in it."""
+    first = keys[0] if keys else 0
+    content = 0
+    for shift, unit in zip(table._shifts, table._units):
+        if (first >> shift) & MAX_DEGREE:
+            content += min((key >> shift) & MAX_DEGREE for key in keys) * unit
+    return content
+
+
+def _lcm_key(table: VarTable, keys: set) -> int:
+    """Packed key of the smallest monomial that every key given divides."""
+    if len(keys) == 1:
+        return next(iter(keys))
     used = 0
     for key in keys:
         used |= key
-    content = 0
+    lcm = 0
     for shift, unit in zip(table._shifts, table._units):
         if (used >> shift) & MAX_DEGREE:
-            content += min((key >> shift) & MAX_DEGREE for key in keys) * unit
-    return content
+            lcm += max((key >> shift) & MAX_DEGREE for key in keys) * unit
+    return lcm
 
 
 def _normalised(num: SparsePoly, den: SparsePoly):
@@ -554,7 +574,7 @@ def _normalised(num: SparsePoly, den: SparsePoly):
     if not nt:
         return num, SparsePoly._raw(table, {0: 1})
     if 0 not in nt and 0 not in dt:
-        common = _content_key(table, [*nt, *dt])
+        common = _content_key(table, [*dt, *nt])
         if common:
             nt = {k - common: c for k, c in nt.items()}
             dt = {k - common: c for k, c in dt.items()}
@@ -741,6 +761,12 @@ class GeomPoly(_TermMap):
     slot; ``terms`` is a read-only view keyed by exponent tuples.  The
     ring axioms hold exactly and the Frobenius p-th power is a ring
     endomorphism.
+
+    A product is one flat product of integer term maps when every
+    coefficient of both factors has a monomial denominator
+    (``_laurent_product``) and a nested loop with ``ParamRational``
+    arithmetic otherwise (``_nested_product``).  Both give the same ``num``
+    and ``den`` maps, the unique normal form of a Laurent polynomial.
     """
 
     __slots__ = ()
@@ -818,18 +844,11 @@ class GeomPoly(_TermMap):
             return GeomPoly._raw(table, {})
         shift = table._deg_shift
         _check_degree((max(a) >> shift) + (max(b) >> shift))
-        out: dict = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                prod = c1 * c2
-                cur = get(k)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+        out = None
+        if _monomial_dens(a) and _monomial_dens(b):
+            out = _laurent_product(table, a, b)
+        if out is None:
+            out = _nested_product(a, b)
         return GeomPoly._raw(table, out)
 
     def scaled(self, c) -> GeomPoly:
@@ -937,6 +956,86 @@ class GeomPoly(_TermMap):
 
     def __repr__(self):
         return f"GeomPoly({self})"
+
+
+def _monomial_dens(terms: dict) -> bool:
+    return all(len(c.den._t) == 1 for c in terms.values())
+
+
+def _nested_product(a: dict, b: dict) -> dict:
+    """Product terms of two ``GeomPoly`` term maps, one ``ParamRational``
+    product and sum per pair of terms."""
+    out: dict = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            prod = c1 * c2
+            cur = get(k)
+            s = prod if cur is None else cur + prod
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+def _lifted(table: VarTable, terms: dict, split: int):
+    """A term map whose coefficients have monomial denominators as one
+    integer term map: each coefficient times the lcm L of the denominators,
+    its parameter keys below bit ``split`` and its geometric key above.
+    Returns the map, L and the largest total parameter degree in it."""
+    lcm = _lcm_key(table, {next(iter(c.den._t)) for c in terms.values()})
+    flat = {}
+    top = 0
+    for g, c in terms.items():
+        nt = c.num._t
+        base = lcm - next(iter(c.den._t))
+        top = max(top, max(nt) + base)
+        base += g << split
+        for k, v in nt.items():
+            flat[base + k] = v
+    return flat, lcm, top >> table._deg_shift
+
+
+def _laurent_product(table: VarTable, a: dict, b: dict) -> dict | None:
+    """Product terms of two ``GeomPoly`` term maps whose coefficients all
+    have monomial denominators, by one product of integer term maps mod p;
+    None when a lifted parameter degree would pass ``MAX_DEGREE``, so that
+    the caller's nested product decides (and raises ``OverflowError`` if
+    the result itself is out of range).
+
+    Each coefficient is N/m for a monomial m = a^d, i.e. the Laurent
+    polynomial N a^(-d), and ``_normalised`` makes it unique: it strips
+    the common monomial factor of N and m and keeps m monic, which leaves
+    the least d.  So the product coefficient at a geometric key, built as
+    (its part of La Lb)/(a^(La+Lb)) and normalised once, has the same
+    ``num`` and ``den`` maps as the nested route's sum of normalised
+    products, whatever the order of evaluation."""
+    # a parameter key of degree at most MAX_DEGREE, and the sum of two,
+    # stays below bit ``split``, so no sum carries into the geometric key
+    split = table._deg_shift + FIELD_BITS + 2
+    fa, la, top_a = _lifted(table, a, split)
+    fb, lb, top_b = _lifted(table, b, split)
+    den_key = la + lb
+    if top_a + top_b > MAX_DEGREE or den_key >> table._deg_shift > MAX_DEGREE:
+        return None
+    p = table.p
+    prod: dict = {}
+    get = prod.get
+    for k1, c1 in fa.items():
+        for k2, c2 in fb.items():
+            k = k1 + k2
+            prod[k] = get(k, 0) + c1 * c2
+    low = (1 << split) - 1
+    parts: dict = {}
+    for k, c in prod.items():
+        part = parts.setdefault(k >> split, {})
+        if r := c % p:
+            part[k & low] = r
+    den = SparsePoly._raw(table, {den_key: 1})
+    return {g: ParamRational._make(SparsePoly._raw(table, nt), den)
+            for g, nt in parts.items() if nt}
 
 
 def strip_common_monomial(polys: list[GeomPoly]) -> list[GeomPoly]:

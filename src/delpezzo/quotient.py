@@ -194,7 +194,8 @@ class SFraction(RingFraction):
     __slots__ = ()
 
     def __init__(self, num: GeomPoly):
-        self.num, self.den = self.normalise(num, GeomPoly.one(num.table))
+        # num/1 is already in normal form: a denominator of one is monic
+        self.num, self.den = num, GeomPoly.one(num.table)
 
     @staticmethod
     def normalise(num: GeomPoly, den: GeomPoly):
@@ -232,11 +233,14 @@ def _rref(rows, width: int):
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = rows[r][col].inverse()
-        rows[r] = [e * inv for e in rows[r]]
+        # zero entries are kept as they are: 0 * inv and a - factor * 0
+        # would give the same values, each through one more den * den product
+        rows[r] = [e if e.is_zero() else e * inv for e in rows[r]]
         for i in range(nrows):
             if i != r and not rows[i][col].is_zero():
                 factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a if b.is_zero() else a - factor * b
+                           for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -258,7 +262,7 @@ def kernel_basis(mat, ring: BaseRingS) -> list[ModuleVector]:
     for free in range(n):
         if free in pivot_set:
             continue
-        coords = [SFraction(GeomPoly.zero(table)) for _ in range(n)]
+        coords = [SFraction(GeomPoly.zero(table))] * n
         coords[free] = SFraction(GeomPoly.one(table))
         for r, pc in enumerate(pivots):
             coords[pc] = -rows[r][free]

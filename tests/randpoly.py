@@ -64,6 +64,25 @@ def random_geom(rng, table, max_terms=3):
     return GeomPoly(table, terms)
 
 
+def random_laurent_geom(rng, table, max_terms=4):
+    """A nonzero GeomPoly whose coefficients are polynomials over random
+    monomials, distinct ones within one polynomial as a rule."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            exp = [0] * len(table.names)
+            for _ in range(rng.randint(0, 2)):
+                exp[rng.choice(table.geom_indices)] += rng.randint(1, 2)
+            den = [0] * len(table.names)
+            for _ in range(rng.randint(0, 2)):
+                den[rng.choice(table.param_indices)] += rng.randint(1, 3)
+            num = random_nonzero_sparse(rng, table, max_terms=3, params_only=True)
+            terms[tuple(exp)] = ParamRational(num, SparsePoly(table, {tuple(den): 1}))
+        poly = GeomPoly(table, terms)
+        if not poly.is_zero():
+            return poly
+
+
 def random_nonzero_geom(rng, table, **kw):
     while True:
         poly = random_geom(rng, table, **kw)

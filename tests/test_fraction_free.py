@@ -1,15 +1,20 @@
-"""The fraction-free singular-locus route: the flat ``SparsePoly`` primitives
-it runs on, a cross-check against the same generic functions called on
-``GeomPoly`` values with rational coefficients, and the guards that stop
-the scan with ArithmeticError (exit 3) instead of reporting a FAIL."""
+"""The fraction-free routes.  The singular locus: the flat ``SparsePoly``
+primitives it runs on, a cross-check against the same generic functions
+called on ``GeomPoly`` values with rational coefficients, and the guards
+that stop the scan with ArithmeticError (exit 3) instead of reporting a
+FAIL.  The ``GeomPoly`` product: the flat route over monomial
+denominators gives the nested route's exact representation, falls back
+on other denominators and past the degree limit, and is the route the
+kernel layer takes."""
 
 import random
 from dataclasses import replace
 
 import pytest
 
-from delpezzo import cli, surfaces
+from delpezzo import algebra, cli, surfaces
 from delpezzo.algebra import (
+    MAX_DEGREE,
     GeomPoly,
     ParamRational,
     SparsePoly,
@@ -23,9 +28,15 @@ from delpezzo.quotient import (
     jacobian_minors,
     t_coordinates,
     t_rewrite_rules,
+    verify_presentation,
 )
 from delpezzo.surfaces import build_presentation, others, singular_locus, undivided_minors
-from randpoly import make_table, random_nonzero_sparse, random_sparse
+from randpoly import (
+    make_table,
+    random_laurent_geom,
+    random_nonzero_sparse,
+    random_sparse,
+)
 from test_stages import perturbed
 
 
@@ -205,3 +216,98 @@ class TestSoundnessGuards:
             return replace(pres, relations=dict(pres.relations, r_4=pres.relations["r_4"] + odd))
         monkeypatch.setattr(cli, "build_presentation", build)
         self.stops(capsys)
+
+
+def representation(poly):
+    """The packed terms of a GeomPoly with each coefficient's num and den maps."""
+    return {key: (c.num._t, c.den._t) for key, c in poly._t.items()}
+
+
+def nested(f, g):
+    return GeomPoly._raw(f.table, algebra._nested_product(f._t, g._t))
+
+
+class TestLaurentProduct:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_flat_route_gives_the_nested_representation(self, p):
+        rng = random.Random(1001 + p)
+        table = make_table(p)
+        distinct = 0
+        for _ in range(60):
+            f, g = random_laurent_geom(rng, table), random_laurent_geom(rng, table)
+            flat = algebra._laurent_product(table, f._t, g._t)
+            assert flat is not None
+            assert representation(GeomPoly._raw(table, flat)) == representation(nested(f, g))
+            assert representation(f * g) == representation(nested(f, g))
+            distinct += len({max(c.den._t) for c in f._t.values()}) > 1
+        assert distinct > 10
+
+    def test_cancelling_terms_leave_no_zero_coefficient(self):
+        table = make_table(3)
+        a0, x1 = SparsePoly.var(table, "a0"), GeomPoly.var(table, "x1")
+        f = x1.scaled(ParamRational(SparsePoly.const(table, 1), a0)) + GeomPoly.one(table)
+        g = x1.scaled(ParamRational(SparsePoly.const(table, 1), a0)) - GeomPoly.one(table)
+        product = f * g
+        assert representation(product) == representation(nested(f, g))
+        assert product == x1 * x1 * GeomPoly.const(table, ParamRational(
+            SparsePoly.const(table, 1), a0 * a0)) - GeomPoly.one(table)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_other_denominator_takes_the_nested_route(self, p, monkeypatch):
+        rng = random.Random(1011 + p)
+        table = make_table(p)
+        a0, a1 = SparsePoly.var(table, "a0"), SparsePoly.var(table, "a1")
+        odd = GeomPoly.var(table, "x2").scaled(ParamRational(a0, a0 + a1))
+        monkeypatch.setattr(algebra, "_laurent_product", None)
+        for _ in range(20):
+            f = random_laurent_geom(rng, table) + odd
+            g = random_laurent_geom(rng, table)
+            assert representation(f * g) == representation(nested(f, g))
+            assert representation(g * f) == representation(nested(g, f))
+
+    def test_lifted_degree_past_the_limit_falls_back(self):
+        table = make_table()
+        power = SparsePoly.var(table, "a1", MAX_DEGREE // 2 + 1)
+        x1, x2 = GeomPoly.var(table, "x1"), GeomPoly.var(table, "x2")
+        # clearing 1/a1^k lifts a1^k to a1^2k, one past the a1 field
+        f = (x1.scaled(ParamRational(power))
+             + x2.scaled(ParamRational(SparsePoly.const(table, 1), power)))
+        assert algebra._laurent_product(table, f._t, x1._t) is None
+        assert representation(f * x1) == representation(nested(f, x1))
+        assert (f * x1).coefficient({"x1": 2}) == ParamRational(power)
+
+    def test_denominator_past_the_limit_raises_on_both_routes(self):
+        table = make_table()
+        inv = ParamRational(SparsePoly.const(table, 1),
+                            SparsePoly.var(table, "a0", MAX_DEGREE // 2 + 1))
+        f = GeomPoly.var(table, "x1").scaled(inv)
+        assert algebra._laurent_product(table, f._t, f._t) is None
+        with pytest.raises(OverflowError):
+            nested(f, f)
+        with pytest.raises(OverflowError):
+            f * f
+
+
+class TestProductRoutes:
+    def test_kernel_layer_stays_on_the_flat_route(self, monkeypatch):
+        fol = surfaces.FoliationSpec.build("deg1", surfaces.QuadricChart.build(0))
+        pres = build_presentation(0)
+        ring = BaseRingS(pres.table, 0)
+
+        def refuse(a, b):
+            raise AssertionError("nested GeomPoly product")
+        monkeypatch.setattr(algebra, "_nested_product", refuse)
+        checks = verify_presentation(pres, ring, fol.theta)
+        assert checks and all(c.passed for c in checks)
+
+    def test_cusp_curve_reaches_the_nested_route(self, monkeypatch):
+        calls = []
+        orig = algebra._nested_product
+
+        def counted(a, b):
+            calls.append(len(a) * len(b))
+            return orig(a, b)
+        monkeypatch.setattr(algebra, "_nested_product", counted)
+        _, checks = surfaces.cusp_curve()
+        assert all(c.passed for c in checks)
+        assert calls
