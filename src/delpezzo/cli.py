@@ -4,11 +4,13 @@ Subcommands:
 
 * ``verify``: run a named suite of exact checks and report pass/fail,
   optionally as JSON.  Exit code 0 means every check passed, 1 means some
-  check failed, 2 means the invocation itself was invalid, 3 means an
-  internal arithmetic error stopped the computation (one line on stderr).
+  check failed, 2 means the invocation itself was invalid.
 * ``feasibility``: emit the (d, q) feasibility table for a prime p as CSV
   or a JSON summary of the minimal irregularity per degree.
 * ``presentation``: emit the verified quotient chart presentation as JSON.
+
+Every subcommand exits 3, with one line on stderr and no other output,
+when an internal arithmetic error stops it.
 
 Output is deterministic: JSON fields are sorted alphabetically, rows keep
 a fixed order, and no timestamps enter any payload (timing goes to the
@@ -96,12 +98,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def run_verify(args) -> int:
     started = time.perf_counter()
-    try:
-        checks = suite_checks(args.suite, args.chart)
-    except ArithmeticError as exc:
-        print(f"error: suite {args.suite} stopped on an internal arithmetic "
-              f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    checks = suite_checks(args.suite, args.chart)
     elapsed = time.perf_counter() - started
     failed = failures(checks)
     if args.json:
@@ -190,7 +187,13 @@ def load_presentation(payload: dict) -> Presentation:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ArithmeticError as exc:
+        # raised before any output is written; exit 1 would read as a FAIL
+        print(f"error: {args.command} stopped on an internal arithmetic error: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,18 +17,18 @@ of the quotient ring; ``verify_presentation`` certifies them against the
 computed kernel and, from the same kernel, checks the degree of the
 factorisation tower, so each presentation's matrix and kernel are
 computed once.  ``normal_form`` rewrites away all quadratic monomials in
-the t generators, which terminates because every rewrite strictly lowers
-the t-degree of the monomial it replaces; ``t_coordinates`` is the one
-place that puts a Jacobian minor into normal form.  Both take flat
-``SparsePoly`` values too; ``BaseRingS.pseudo_reduce`` then reduces them
-fraction-free to a_elim^k times ``reduce`` (``surfaces.singular_locus``
-shows by Gauss's lemma that divisibility by h survives).
+the t generators; ``TTable`` reads its rules as the structure constants
+of the t-algebra, whose products build no t-quadratic monomial.  Both
+work on flat ``SparsePoly`` values (``normal_form`` on ``GeomPoly`` ones
+too), which ``BaseRingS.pseudo_reduce`` reduces fraction-free to
+a_elim^k times ``reduce`` (``surfaces.singular_locus`` shows by Gauss's
+lemma that divisibility by h survives).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 from .algebra import (
     GeomPoly,
@@ -345,7 +345,8 @@ def t_rewrite_rules(pres: Presentation, flat: bool = False) -> list:
 
     The rules are ordered by their t-pairs (0,0), (0,1), ..., (2,2), so
     the first rule dividing a monomial pairs its first t with itself when
-    that t is squared and else with the next t it carries.
+    that t is squared and else with the next t it carries.  Each t-pair
+    needs one relation with a t-linear right side, else ArithmeticError.
     """
     table = pres.table
     t_idx = [table.index(n) for n in pres.t_names]
@@ -360,10 +361,88 @@ def t_rewrite_rules(pres: Presentation, flat: bool = False) -> list:
             continue
         pair = tuple(sorted(pos for pos, i in enumerate(t_idx)
                             for _ in range(exp[i])))
-        rest = rel - GeomPoly(table, {exp: c})
-        by_pair[pair] = (GeomPoly(table, {exp: 1}), (-rest).scaled(c.inverse()))
+        if pair in by_pair:
+            raise ArithmeticError(f"two relations rewrite the t-pair {pair}")
+        rhs = (-(rel - GeomPoly(table, {exp: c}))).scaled(c.inverse())
+        t_parts(rhs, pres)
+        by_pair[pair] = (GeomPoly(table, {exp: 1}), rhs)
+    if len(by_pair) != 6:
+        raise ArithmeticError(f"the relations rewrite {len(by_pair)} of the 6 t-pairs")
     rules = [by_pair[pair] for pair in sorted(by_pair)]
     return [(lhs.as_sparse(), rhs.as_sparse()) for lhs, rhs in rules] if flat else rules
+
+
+def t_parts(f, pres: Presentation) -> tuple:
+    """``linear_parts`` on the t generators, raising ArithmeticError."""
+    try:
+        return f.linear_parts(pres.t_names)
+    except ValueError as exc:
+        raise ArithmeticError(f"not t-linear: {f}") from exc
+
+
+class TTable:
+    """Structure constants t_i t_j = c_ij0 + sum_k c_ijk t_k (t-positions
+    i <= j) of the rank-4 t-algebra, read off the flat rules."""
+
+    __slots__ = ("pres", "consts", "zero")
+
+    def __init__(self, pres: Presentation, rules: list):
+        self.pres, self.zero = pres, SparsePoly.zero(pres.table)
+        pairs = combinations_with_replacement(range(3), 2)
+        self.consts = {pair: t_parts(rhs, pres)
+                       for pair, (_, rhs) in zip(pairs, rules, strict=True)}
+
+    def value(self, f: SparsePoly) -> TValue:
+        return TValue(self, t_parts(f, self.pres))
+
+    def nonassociative(self) -> list:
+        """The basis triples (i, j, k) of t-positions with
+        (t_i t_j) t_k != t_i (t_j t_k), compared exactly in GF(2)[a][u]."""
+        one = SparsePoly.const(self.pres.table, 1)
+        t = [TValue(self, [one if k == i else self.zero for k in range(4)]) for i in (1, 2, 3)]
+        return [(i, j, k) for i, j, k in product(range(3), repeat=3)
+                if ((t[i] * t[j]) * t[k]).coords != (t[i] * (t[j] * t[k])).coords]
+
+
+class TValue:
+    """c_0 + c_1 t_a + c_2 t_b + c_3 t_c; a product sends each t-quadratic
+    part x_i y_j + x_j y_i (x_i y_i when i = j) through c_ij."""
+
+    __slots__ = ("table", "coords")
+
+    def __init__(self, table: TTable, coords):
+        self.table, self.coords = table, tuple(coords)
+
+    @classmethod
+    def zero(cls, table: TTable) -> TValue:
+        return cls(table, [table.zero] * 4)
+
+    def is_zero(self) -> bool:
+        return all(map(SparsePoly.is_zero, self.coords))
+
+    def __neg__(self):
+        return TValue(self.table, [-c for c in self.coords])
+
+    def __add__(self, other):
+        return TValue(self.table, [b if a.is_zero() else a if b.is_zero() else a + b
+                                   for a, b in zip(self.coords, other.coords)])
+
+    def __mul__(self, other):
+        parts, quads = ([], [], [], []), {}
+        for i, x in enumerate(self.coords):
+            for j, y in enumerate(other.coords):
+                if x.is_zero() or y.is_zero():
+                    continue
+                if i and j:
+                    quads.setdefault((min(i, j) - 1, max(i, j) - 1), []).append(x * y)
+                else:
+                    parts[i + j].append(x * y)
+        for pair, qs in quads.items():
+            q = sum(qs[1:], qs[0])
+            for part, c in zip(parts, self.table.consts[pair]):
+                if not c.is_zero():
+                    part.append(q * c)
+        return TValue(self.table, [sum(p[1:], p[0]) if p else self.table.zero for p in parts])
 
 
 def normal_form(f, pres: Presentation, rules: list | None = None):
@@ -371,21 +450,19 @@ def normal_form(f, pres: Presentation, rules: list | None = None):
 
     Each step removes one monomial of t-degree d and inserts monomials of
     t-degree at most d - 1, so the multiset of t-degrees strictly
-    decreases and the loop terminates.  The result, of f's type, is the
-    unique S-linear combination of 1, t_a, t_b, t_c representing f in the
-    quotient ring.  A monomial of t-degree >= 2 that no rule reduces
-    raises ValueError.
+    decreases and the loop terminates, given the t-linear right sides
+    ``t_rewrite_rules`` enforces.  The result, of f's type, is the
+    S-linear combination of 1, t_a, t_b, t_c representing f in the
+    quotient ring, unique when the rules' ``TTable`` is associative.  A
+    monomial of t-degree >= 2 that no rule reduces raises ValueError.
     """
     if rules is None:
         rules = t_rewrite_rules(pres, isinstance(f, SparsePoly))
     nf = rewrite(f, rules)
     if len(rules) < 6:
-        # the rules start from distinct t-pairs; with all six, every
-        # monomial of t-degree >= 2 has been reduced
-        t_idx = [pres.table.index(n) for n in pres.t_names]
-        for exp in nf.terms:
-            if sum(exp[i] for i in t_idx) >= 2:
-                raise ValueError(f"no rewrite rule reduces the t-monomial {exp}")
+        # with all six t-pairs every t-monomial of degree >= 2 is reduced;
+        # with fewer, one left over raises ValueError here
+        nf.linear_parts(pres.t_names)
     return nf
 
 
@@ -404,16 +481,16 @@ def jacobian_minors(relations, var_names, size: int, jac=None):
     """All size x size minors of the Jacobian d(relations)/d(vars).
 
     A caller holding this Jacobian (a block of a larger one, say) passes
-    it as ``jac``.  Returns ((row indices, column indices), minor) pairs
-    with the minors as computed, not in normal form (``t_coordinates``
-    takes them there).  Subdeterminants are memoised across minors, which
-    keeps the full 4x4 scan cheap.
+    it as ``jac``, with entries of any ring type (``TValue`` ones, say);
+    the zero comes from those entries.  Returns ((row indices, column
+    indices), minor) pairs with the minors as computed.  Subdeterminants
+    are memoised across minors, which keeps the full 4x4 scan cheap.
     """
     if size < 1 or size > min(len(relations), len(var_names)):
         raise ValueError("minor size exceeds the Jacobian")
     if jac is None:
         jac = jacobian(relations, var_names)
-    zero = relations[0].zero(relations[0].table)
+    zero = jac[0][0].zero(jac[0][0].table)
     cache: dict = {}
     return [((rows, cols), determinant(jac, zero, rows, cols, cache))
             for rows in combinations(range(len(relations)), size)

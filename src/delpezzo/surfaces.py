@@ -48,6 +48,7 @@ from .algebra import (
 from .quotient import (
     BaseRingS,
     Presentation,
+    TTable,
     alpha_value,
     determinant,
     frobenius_factorization_check,  # noqa: F401  (bench/tracer.py traces it here)
@@ -288,14 +289,6 @@ def _h_polynomial(table: VarTable, i0: int) -> SparsePoly:
     return h
 
 
-def undivided_minors(minors, pres: Presentation, rules, reduce, divisor) -> list:
-    """Index pairs of the minors with a t-coordinate that ``divisor`` does
-    not divide once ``reduce`` has taken it into S."""
-    return [index for index, minor in minors
-            if any(exact_divide(reduce(coord), divisor) is None
-                   for coord in t_coordinates(minor, pres, rules))]
-
-
 def singular_locus(pres: Presentation) -> list[CheckResult]:
     """Jacobian criterion for the deg1 quotient chart.
 
@@ -321,11 +314,19 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
     with a non-polynomial coefficient, raises ArithmeticError instead of
     reporting a FAIL.  Only a failing u-block minor goes back to rational
     coefficients, for its witness.
+
+    The 4x4 minors are taken in the t-algebra (``TTable``).  If its table
+    is associative on the 27 basis triples, t_k -> t_k is a ring map from
+    R onto it killing the relations and fixing t-linear values, so every
+    rewrite of f ends at the image of f: the rules are confluent (the
+    diamond lemma), normal forms in GF(2)[a][u] are unique and equal the
+    table's coordinates.  So the check also needs associativity.
     """
     table = pres.table
     i0 = pres.chart
     ring = BaseRingS(table, i0)
     rules = t_rewrite_rules(pres, flat=True)
+    t_table = TTable(pres, rules)
     rel_names = list(pres.relations)
     rels = [rel.as_sparse() for rel in pres.relations.values()]
     alpha = {i: alpha_value(table, i) for i in range(4)}
@@ -338,11 +339,16 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
     out = []
 
     jac = jacobian(rels, pres.generators)
-    minors = jacobian_minors(rels, pres.generators, 4, jac)
-    bad = undivided_minors(minors, pres, rules, ring.pseudo_reduce, closed)
-    out.append(check("minors_divisible_by_h", not bad,
+    values = [[t_table.value(entry) for entry in row] for row in jac]
+    minors = jacobian_minors(rels, pres.generators, 4, values)
+    bad = [index for index, minor in minors if any(
+        exact_divide(ring.pseudo_reduce(c), closed) is None for c in minor.coords)]
+    skew = t_table.nonassociative()
+    out.append(check("minors_divisible_by_h", not bad and not skew,
                      f"checked {len(minors)} minors"
-                     + (f", failures at {bad[:4]}" if bad else "")))
+                     + (f", failures at {bad[:4]}" if bad else "")
+                     + (f", t-table not associative at {skew[:4]} ({len(skew)} of 27)"
+                        if skew else "")))
 
     top = jacobian_minors(rels[:4], pres.u_names, 3, [row[:3] for row in jac[:4]])
     expected = {(1, 2, 3): SparsePoly.zero(table)}

@@ -83,6 +83,21 @@ def random_laurent_geom(rng, table, max_terms=4):
             return poly
 
 
+def random_t_linear(rng, pres, terms=4):
+    """A flat c_0 + c_1 t_a + c_2 t_b + c_3 t_c on a quotient chart, each
+    coefficient a random polynomial in the parameters and the chart's u's."""
+    table = pres.table
+    names = [f"a{i}" for i in range(4)] + list(pres.u_names)
+    out = SparsePoly.zero(table)
+    for _ in range(terms):
+        exps = {n: rng.randint(0, 2) for n in rng.sample(names, 3)}
+        t = rng.choice([None, *pres.t_names])
+        if t is not None:
+            exps[t] = 1
+        out = out + SparsePoly.monomial(table, exps)
+    return out
+
+
 def random_nonzero_geom(rng, table, **kw):
     while True:
         poly = random_geom(rng, table, **kw)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from delpezzo import cli
+from delpezzo.algebra import ZeroDenominatorError
 from delpezzo.cli import load_presentation, main, suite_checks
 from delpezzo.quotient import BaseRingS, verify_presentation
 from delpezzo.reports import failures
@@ -139,6 +140,22 @@ class TestInProcessEntry:
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "ArithmeticError: c11/c13 is not a square" in err
+
+    @pytest.mark.parametrize("error", [OverflowError("total degree 256 exceeds 255"),
+                                       ZeroDenominatorError("zero denominator")])
+    def test_presentation_arithmetic_error_exits_three(self, monkeypatch, capsys,
+                                                       tmp_path, error):
+        def broken(fol):
+            raise error
+        # the command's binding of surfaces.quotient_presentation
+        monkeypatch.setattr(cli, "quotient_presentation", broken)
+        out = tmp_path / "pres.json"
+        assert main(["presentation", "--chart", "0", "--out", str(out)]) == 3
+        assert main(["presentation", "--chart", "0"]) == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err.count("\n") == 2 and "Traceback" not in err
+        assert f"internal arithmetic error: {type(error).__name__}: {error}\n" in err
 
     def test_feasibility_to_stdout(self, capsys):
         assert main(["feasibility", "--p", "5", "--d-max", "1", "--q-max", "4",

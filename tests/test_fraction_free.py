@@ -1,18 +1,20 @@
 """The fraction-free routes.  The singular locus: the flat ``SparsePoly``
 primitives it runs on, a cross-check against the same generic functions
-called on ``GeomPoly`` values with rational coefficients, and the guards
-that stop the scan with ArithmeticError (exit 3) instead of reporting a
-FAIL.  The ``GeomPoly`` product: the flat route over monomial
-denominators gives the nested route's exact representation, falls back
-on other denominators and past the degree limit, and is the route the
-kernel layer takes."""
+called on ``GeomPoly`` values with rational coefficients, the t-table's
+minors against the rewritten ones, and the guards that stop the scan
+with ArithmeticError (exit 3) instead of reporting a FAIL.  The
+``GeomPoly`` product: the flat route over monomial denominators gives the
+nested route's exact representation, falls back on other denominators
+and past the degree limit, and is the route the kernel layer takes."""
 
 import random
+import signal
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
-from delpezzo import algebra, cli, surfaces
+from delpezzo import algebra, cli, quotient, surfaces
 from delpezzo.algebra import (
     MAX_DEGREE,
     GeomPoly,
@@ -24,18 +26,22 @@ from delpezzo.algebra import (
 )
 from delpezzo.quotient import (
     BaseRingS,
+    TTable,
     alpha_value,
+    jacobian,
     jacobian_minors,
     t_coordinates,
+    t_parts,
     t_rewrite_rules,
     verify_presentation,
 )
-from delpezzo.surfaces import build_presentation, others, singular_locus, undivided_minors
+from delpezzo.surfaces import build_presentation, others, singular_locus
 from randpoly import (
     make_table,
     random_laurent_geom,
     random_nonzero_sparse,
     random_sparse,
+    random_t_linear,
 )
 from test_stages import perturbed
 
@@ -139,6 +145,14 @@ class TestFlatPrimitives:
             parse(table, "t1*t3").as_sparse().linear_parts(["t1", "t3"])
 
 
+def undivided_minors(minors, reduce, divisor) -> list:
+    """Index pairs of the minors, given as (index pair, t-coordinates), with
+    a coordinate that ``divisor`` does not divide once ``reduce`` has taken
+    it into S."""
+    return [index for index, coords in minors
+            if any(exact_divide(reduce(coord), divisor) is None for coord in coords)]
+
+
 def failing_minors(pres, flat: bool) -> list:
     """The 4x4 minors that fail divisibility by h, on the flat route or on
     the GeomPoly route with rational coefficients."""
@@ -151,8 +165,10 @@ def failing_minors(pres, flat: bool) -> list:
         divisor = exact_divide(reduce(h), alpha_value(pres.table, others(pres.chart)[-1]).num)
     else:
         reduce, divisor = ring.reduce, ring.reduce(h.as_geom())
+    rules = t_rewrite_rules(pres, flat)
     minors = jacobian_minors(rels, pres.generators, 4)
-    return undivided_minors(minors, pres, t_rewrite_rules(pres, flat), reduce, divisor)
+    return undivided_minors([(index, t_coordinates(minor, pres, rules))
+                             for index, minor in minors], reduce, divisor)
 
 
 class TestCrossCheck:
@@ -185,17 +201,125 @@ class TestCrossCheck:
         assert len(flat) == count
         assert flat == failing_minors(pres, flat=False)
         named = {c.name: c for c in singular_locus(pres)}
+        skew = {"r_4": "[(0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2)] (12 of 27)",
+                "r_1": "[(0, 0, 1), (0, 0, 2), (0, 1, 2), (0, 2, 1)] (8 of 27)"}[name]
         assert named["minors_divisible_by_h"].witness == (
-            f"checked 525 minors, failures at {flat[:4]}")
+            f"checked 525 minors, failures at {flat[:4]}, t-table not associative at {skew}")
+
+
+def table_minors(pres):
+    """The t-table of a presentation, its flat rules and relations, and the
+    4x4 minors taken on the table values of the Jacobian entries."""
+    rules = t_rewrite_rules(pres, flat=True)
+    t_table = TTable(pres, rules)
+    rels = [rel.as_sparse() for rel in pres.relations.values()]
+    values = [[t_table.value(e) for e in row] for row in jacobian(rels, pres.generators)]
+    return t_table, rules, rels, jacobian_minors(rels, pres.generators, 4, values)
+
+
+class TestTTable:
+    @pytest.mark.parametrize("chart", (0, 1, 2, 3))
+    def test_table_coordinates_equal_the_rewritten_ones(self, chart):
+        pres = build_presentation(chart)
+        t_table, rules, rels, minors = table_minors(pres)
+        raw = jacobian_minors(rels, pres.generators, 4)
+        assert len(minors) == len(raw) == 525
+        for (index, value), (raw_index, minor) in zip(minors, raw, strict=True):
+            assert index == raw_index
+            assert value.coords == t_coordinates(minor, pres, rules)
+        assert t_table.nonassociative() == []
+
+    @pytest.mark.parametrize("chart", (0, 1, 2, 3))
+    def test_products_are_normal_forms_of_the_raw_products(self, chart):
+        rng = random.Random(1101 + chart)
+        pres = build_presentation(chart)
+        rules = t_rewrite_rules(pres, flat=True)
+        t_table = TTable(pres, rules)
+        quadratic = 0
+        for _ in range(25):
+            f, g, k = (random_t_linear(rng, pres) for _ in range(3))
+            x, y, z = (t_table.value(v) for v in (f, g, k))
+            assert (x * y).coords == t_coordinates(f * g, pres, rules)
+            assert ((x * y) * z).coords == t_coordinates(f * g * k, pres, rules)
+            assert (x * (y * z)).coords == ((x * y) * z).coords
+            assert (x + y).coords == t_parts(f + g, pres)
+            quadratic += all(any(not c.is_zero() for c in v.coords[1:]) for v in (x, y))
+        assert quadratic > 10
+
+    @pytest.mark.parametrize("chart, name, first, flagged, skew", [
+        *[(c, "r_4", "u{n}*t{n}", 135, 12) for c in (0, 1, 2, 3)],
+        (0, "r_1", "u1*u2", 134, 8)])
+    def test_non_associative_table_fails_the_scan(self, chart, name, first, flagged, skew):
+        pres = perturbed(build_presentation(chart), name, first.format(n=others(chart)[0]))
+        t_table, _, _, minors = table_minors(pres)
+        ring = BaseRingS(pres.table, chart)
+        divisor = exact_divide(ring.pseudo_reduce(surfaces._h_polynomial(pres.table, chart)),
+                               alpha_value(pres.table, others(chart)[-1]).num)
+        bad = undivided_minors([(index, m.coords) for index, m in minors],
+                               ring.pseudo_reduce, divisor)
+        triples = t_table.nonassociative()
+        assert (len(bad), len(triples)) == (flagged, skew)
+        check = {c.name: c for c in singular_locus(pres)}["minors_divisible_by_h"]
+        assert not check.passed
+        assert check.witness == {
+            "r_4": "checked 525 minors, failures at [((0, 1, 4, 5), (0, 1, 2, 3)),"
+                   " ((0, 1, 4, 5), (0, 1, 2, 4)), ((0, 1, 4, 5), (0, 1, 2, 5)),"
+                   " ((0, 1, 4, 5), (0, 1, 3, 4))], t-table not associative at"
+                   " [(0, 1, 1), (0, 1, 2), (0, 2, 1), (0, 2, 2)] (12 of 27)",
+            "r_1": "checked 525 minors, failures at [((0, 1, 2, 4), (0, 1, 2, 3)),"
+                   " ((0, 1, 2, 4), (0, 1, 2, 4)), ((0, 1, 2, 4), (0, 1, 2, 5)),"
+                   " ((0, 1, 2, 5), (0, 1, 2, 3))], t-table not associative at"
+                   " [(0, 0, 1), (0, 0, 2), (0, 1, 2), (0, 2, 1)] (8 of 27)"}[name]
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Turn a computation still running after ``seconds`` into an error
+    that no ArithmeticError handler catches."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSoundnessGuards:
-    def stops(self, capsys):
-        with pytest.raises(ArithmeticError):
-            singular_locus(cli.build_presentation(0))
-        assert cli.main(["verify", "--suite", "singular", "--json"]) == 3
+    def stops(self, capsys, match=None):
+        with deadline(20):
+            with pytest.raises(ArithmeticError, match=match):
+                singular_locus(cli.build_presentation(0))
+            assert cli.main(["verify", "--suite", "singular", "--json"]) == 3
         out = capsys.readouterr()
         assert out.out == "" and "internal arithmetic error" in out.err
+
+    @pytest.mark.parametrize("name, monomial, match, in_rules", [
+        ("r_4", "t1*t2*t3", "not t-linear", True),
+        ("r_4", "t2*t3", "5 of the 6 t-pairs", True),
+        ("r_0", "t1^2", r"two relations rewrite the t-pair \(0, 0\)", True),
+        ("r_0", "t1*t2*t3", "not t-linear: t2\\*t3", False),
+    ])
+    def test_rules_outside_the_termination_argument_stop_the_scan(
+            self, monkeypatch, capsys, name, monomial, match, in_rules):
+        # normal_form does not terminate on a t-cubic right side
+        orig = cli.build_presentation
+        monkeypatch.setattr(cli, "build_presentation",
+                            lambda i0=0, depth=0: perturbed(orig(i0, depth), name, monomial))
+        steps = []
+        monkeypatch.setattr(quotient, "rewrite", lambda f, rules: steps.append(f))
+        monkeypatch.setattr(quotient.TValue, "__mul__", lambda x, y: steps.append(x))
+        self.stops(capsys, match)
+        assert steps == []
+        pres = cli.build_presentation(0)
+        for flat in (False, True):
+            if in_rules:
+                with pytest.raises(ArithmeticError, match=match):
+                    t_rewrite_rules(pres, flat)
+            else:
+                assert len(t_rewrite_rules(pres, flat)) == 6
 
     def test_divisor_with_content_stops_the_scan(self, monkeypatch, capsys):
         orig = surfaces._h_polynomial

@@ -2,6 +2,8 @@
 implementation, on seeded random inputs."""
 
 import random
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -12,8 +14,9 @@ from delpezzo.algebra import (
     SparsePoly,
     VarTable,
     exact_divide,
+    parse,
 )
-from delpezzo.quotient import BaseRingS, jacobian_minors
+from delpezzo.quotient import BaseRingS, TTable, jacobian_minors, t_rewrite_rules
 from delpezzo.surfaces import _h_polynomial, build_presentation, others
 from randpoly import (
     make_table,
@@ -188,3 +191,70 @@ def test_u_block_minors_are_h_multiples(chart):
             u = sym[pres.u_names[dropped - 1]]
             expected = (u + u ** 2) * h
         assert reduced_mod_r0(minor - expected, chart, sym).is_zero
+
+
+def t_table_setup(pres):
+    """The sympy symbols by name, the t symbols, and the sympy expression
+    of each t-table entry c_ij0 + sum_k c_ijk t_k by t-pair."""
+    t_table = TTable(pres, t_rewrite_rules(pres, flat=True))
+    sym = {n: sp.Symbol(n) for n in pres.table.names}
+    syms = list(sym.values())
+    t_syms = [sym[n] for n in pres.t_names]
+    linear = {pair: sparse_expr(coords[0], syms)
+              + sp.Add(*[sparse_expr(c, syms) * t for c, t in zip(coords[1:], t_syms)])
+              for pair, coords in t_table.consts.items()}
+    return sym, t_syms, linear
+
+
+def sympy_associators(pres):
+    """The basis triples (i, j, k) with (t_i t_j) t_k != t_i (t_j t_k) when
+    every t-quadratic monomial is replaced by its table entry, in sympy."""
+    sym, t_syms, linear = t_table_setup(pres)
+    gens = t_syms + [s for s in sym.values() if s not in t_syms]
+
+    def reduce(expr):
+        # expr has t-degree at most 2, so one pass removes every quadratic
+        out = sp.Integer(0)
+        for monom, c in sp.Poly(sp.expand(expr), *gens, modulus=2).terms():
+            tdeg = monom[:3]
+            rest = sp.Mul(*[g ** e for g, e in zip(gens[3:], monom[3:])])
+            if sum(tdeg) == 2:
+                pair = tuple(sorted(i for i, e in enumerate(tdeg) for _ in range(e)))
+                out += c * rest * linear[pair]
+            else:
+                out += c * rest * sp.Mul(*[t ** e for t, e in zip(t_syms, tdeg)])
+        return sp.Poly(out, *gens, modulus=2)
+
+    def prod(i, j):
+        return linear[tuple(sorted((i, j)))]
+
+    bad = []
+    for i, j, k in product(range(3), repeat=3):
+        left = reduce(prod(i, j) * t_syms[k])
+        right = reduce(t_syms[i] * prod(j, k))
+        if left != right:
+            bad.append((i, j, k))
+    return bad
+
+
+@pytest.mark.parametrize("chart", (0, 1, 2, 3))
+def test_t_table_rebuilds_the_relations_and_is_associative(chart):
+    pres = build_presentation(chart)
+    sym, t_syms, linear = t_table_setup(pres)
+    syms = list(sym.values())
+    relations = {as_gf_poly(rel.as_sparse(), syms, 2) for rel in pres.relations.values()}
+    for (i, j), entry in linear.items():
+        rebuilt = sp.Poly(t_syms[i] * t_syms[j] - entry, *syms, modulus=2)
+        assert rebuilt in relations
+    assert len(linear) == 6
+    assert sympy_associators(pres) == []
+
+
+def test_t_table_of_a_perturbed_relation_is_not_associative():
+    pres = build_presentation(0)
+    relations = dict(pres.relations)
+    relations["r_4"] = relations["r_4"] + parse(pres.table, "u1*t1")
+    bad = replace(pres, relations=relations)
+    triples = sympy_associators(bad)
+    assert len(triples) == 12
+    assert triples == TTable(bad, t_rewrite_rules(bad, flat=True)).nonassociative()

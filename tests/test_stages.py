@@ -1,5 +1,6 @@
-"""Each chart stage runs once: one kernel per presentation, one normal form
-per minor and one table per (chart, depth).  Also the negative controls of
+"""Each chart stage runs once: one kernel per presentation, one t-table per
+singular scan, one normal form per t-block minor and one variable table
+per (chart, depth).  Also the negative controls of
 the presentation, singular-locus, cusp, fibre-injectivity and reducedness
 witness checks, and a check that every name the benchmark's tracer wraps
 still exists."""
@@ -53,11 +54,22 @@ class TestStageCounts:
         assert (len(matrices), len(kernels)) == (1, 1)
 
     def test_singular_locus_normal_forms_each_minor_once(self, monkeypatch):
+        split = []
+        orig = quotient.TTable.value
+
+        def value(self, f):
+            split.append(f)
+            return orig(self, f)
+        monkeypatch.setattr(quotient.TTable, "value", value)
         calls = count_calls(monkeypatch, "normal_form")
+        tables = count_calls(monkeypatch, "TTable")
         checks = singular_locus(build_presentation(0))
         assert all(c.passed for c in checks)
-        # the 525 4x4 minors and the 9 t-block 2x2 minors
-        assert len(calls) == 525 + 9
+        # the 9 t-block 2x2 minors; the 525 4x4 minors come from one t-table,
+        # into which each of the 42 Jacobian entries is split once
+        assert len(calls) == 9
+        assert len(tables) == 1
+        assert len(split) == 7 * 6
 
     def test_singular_locus_takes_each_jacobian_entry_once(self, monkeypatch):
         orig = algebra._TermMap.partial
