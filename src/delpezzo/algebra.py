@@ -27,7 +27,9 @@ The value model has two term maps and one fraction arithmetic:
   above the parameter keys) and the two maps are multiplied once; else
   each pair of terms costs one ``ParamRational`` product and sum.  Both
   give the same representation: over a monomial denominator the normal
-  form is the unique one of a Laurent polynomial.
+  form is the unique one of a Laurent polynomial.  A value is lifted at
+  most once, as term maps never change, and a product coefficient over a
+  monic monomial is normalised by stripping the common monomial alone.
 
 Both polynomial types share one monomial layout, known only to this
 module.  A key is one int: a ``FIELD_BITS``-bit field per variable (the
@@ -766,10 +768,13 @@ class GeomPoly(_TermMap):
     coefficient of both factors has a monomial denominator
     (``_laurent_product``) and a nested loop with ``ParamRational``
     arithmetic otherwise (``_nested_product``).  Both give the same ``num``
-    and ``den`` maps, the unique normal form of a Laurent polynomial.
+    and ``den`` maps, the unique normal form of a Laurent polynomial.  A
+    value's lift is kept in the lazily filled ``_lift`` slot: only ``_raw``
+    and the constructors assign ``_t`` and no code mutates one, and two
+    threads filling the slot at once store equal lifts.
     """
 
-    __slots__ = ()
+    __slots__ = ("_lift",)
 
     def __init__(self, table: VarTable, terms=()):
         param_mask = table._param_mask
@@ -846,7 +851,7 @@ class GeomPoly(_TermMap):
         _check_degree((max(a) >> shift) + (max(b) >> shift))
         out = None
         if _monomial_dens(a) and _monomial_dens(b):
-            out = _laurent_product(table, a, b)
+            out = _laurent_product(self, other)
         if out is None:
             out = _nested_product(a, b)
         return GeomPoly._raw(table, out)
@@ -998,12 +1003,12 @@ def _lifted(table: VarTable, terms: dict, split: int):
     return flat, lcm, top >> table._deg_shift
 
 
-def _laurent_product(table: VarTable, a: dict, b: dict) -> dict | None:
-    """Product terms of two ``GeomPoly`` term maps whose coefficients all
-    have monomial denominators, by one product of integer term maps mod p;
-    None when a lifted parameter degree would pass ``MAX_DEGREE``, so that
-    the caller's nested product decides (and raises ``OverflowError`` if
-    the result itself is out of range).
+def _laurent_product(a: GeomPoly, b: GeomPoly) -> dict | None:
+    """Product terms of two ``GeomPoly`` values whose coefficients all
+    have monomial denominators, by one product of their lifted integer
+    term maps mod p; None when a lifted parameter degree would pass
+    ``MAX_DEGREE``, so that the caller's nested product decides (and
+    raises ``OverflowError`` if the result itself is out of range).
 
     Each coefficient is N/m for a monomial m = a^d, i.e. the Laurent
     polynomial N a^(-d), and ``_normalised`` makes it unique: it strips
@@ -1011,12 +1016,18 @@ def _laurent_product(table: VarTable, a: dict, b: dict) -> dict | None:
     the least d.  So the product coefficient at a geometric key, built as
     (its part of La Lb)/(a^(La+Lb)) and normalised once, has the same
     ``num`` and ``den`` maps as the nested route's sum of normalised
-    products, whatever the order of evaluation."""
+    products, whatever the order of evaluation; as den is a monic monomial
+    that normal form only strips the common monomial.  Each value is lifted
+    once and keeps the lift, as its term map never changes."""
+    table = a.table
     # a parameter key of degree at most MAX_DEGREE, and the sum of two,
     # stays below bit ``split``, so no sum carries into the geometric key
     split = table._deg_shift + FIELD_BITS + 2
-    fa, la, top_a = _lifted(table, a, split)
-    fb, lb, top_b = _lifted(table, b, split)
+    for f in (a, b):
+        if not hasattr(f, "_lift"):
+            f._lift = _lifted(table, f._t, split)
+    fa, la, top_a = a._lift
+    fb, lb, top_b = b._lift
     den_key = la + lb
     if top_a + top_b > MAX_DEGREE or den_key >> table._deg_shift > MAX_DEGREE:
         return None
@@ -1033,9 +1044,36 @@ def _laurent_product(table: VarTable, a: dict, b: dict) -> dict | None:
         part = parts.setdefault(k >> split, {})
         if r := c % p:
             part[k & low] = r
-    den = SparsePoly._raw(table, {den_key: 1})
-    return {g: ParamRational._make(SparsePoly._raw(table, nt), den)
+    caps = _den_fields(table, den_key)
+    return {g: _laurent_coefficient(table, nt, den_key, caps)
             for g, nt in parts.items() if nt}
+
+
+def _den_fields(table: VarTable, key: int) -> list:
+    """(shift, unit, exponent) of each nonzero parameter field of key."""
+    return [(shift, table._units[i], e) for i in table.param_indices
+            if (e := (key >> (shift := table._shifts[i])) & MAX_DEGREE)]
+
+
+def _laurent_coefficient(table: VarTable, nt: dict, den_key: int,
+                         caps: list) -> ParamRational:
+    """``_normalised`` of nonzero nt over the monic monomial den_key, with
+    ``caps`` = ``_den_fields(table, den_key)``: only the common monomial is
+    stripped, in each field the least exponent of den_key and the keys of
+    nt, none when nt has a constant term."""
+    common = 0
+    if 0 not in nt:
+        for shift, unit, cap in caps:
+            for k in nt:
+                if (e := (k >> shift) & MAX_DEGREE) < cap:
+                    cap = e
+            common += cap * unit
+        if common:
+            nt = {k - common: c for k, c in nt.items()}
+    value = object.__new__(ParamRational)
+    value.num = SparsePoly._raw(table, nt)
+    value.den = SparsePoly._raw(table, {den_key - common: 1})
+    return value
 
 
 def strip_common_monomial(polys: list[GeomPoly]) -> list[GeomPoly]:

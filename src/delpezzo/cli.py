@@ -10,7 +10,9 @@ Subcommands:
 * ``presentation``: emit the verified quotient chart presentation as JSON.
 
 Every subcommand exits 3, with one line on stderr and no other output,
-when an internal arithmetic error stops it.
+when an internal arithmetic error stops it.  An ``--out`` file that cannot
+be opened for writing exits 2, the usage-error code, with one line on
+stderr naming the path, and nothing is written.
 
 Output is deterministic: JSON fields are sorted alphabetically, rows keep
 a fixed order, and no timestamps enter any payload (timing goes to the
@@ -88,12 +90,19 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> int:
+    """Write text to stdout or the ``--out`` file; the exit code."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(_resolve_out(out), "w", encoding="utf-8") as fh:
+        return 0
+    path = _resolve_out(out)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --out {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def run_verify(args) -> int:
@@ -129,10 +138,8 @@ def run_feasibility(args) -> int:
         return 2
     table = feasibility_region(args.p, args.d_max, args.q_max)
     if args.format == "csv":
-        _emit(table.to_csv(), args.out)
-    else:
-        _emit(_json_dump(table.to_json()), args.out)
-    return 0
+        return _emit(table.to_csv(), args.out)
+    return _emit(_json_dump(table.to_json()), args.out)
 
 
 def run_presentation(args) -> int:
@@ -143,8 +150,7 @@ def run_presentation(args) -> int:
         for c in failed:
             print(f"FAIL {c.name}  [{c.witness}]", file=sys.stderr)
         return 1
-    _emit(_json_dump(pres.to_json()), args.out)
-    return 0
+    return _emit(_json_dump(pres.to_json()), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

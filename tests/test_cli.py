@@ -157,6 +157,24 @@ class TestInProcessEntry:
         assert err.count("\n") == 2 and "Traceback" not in err
         assert f"internal arithmetic error: {type(error).__name__}: {error}\n" in err
 
+    @pytest.mark.parametrize("command", [
+        ["feasibility", "--p", "5", "--d-max", "1", "--q-max", "4"],
+        ["presentation", "--chart", "0"]])
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, command, target):
+        out = tmp_path / "missing" / "x" if target == "missing directory" else tmp_path
+        assert main([*command, "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and list(tmp_path.iterdir()) == []
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: cannot write --out {out}: ")
+
+    def test_unwritable_out_exits_two(self, tmp_path):
+        result = run_cli("feasibility", "--out", str(tmp_path / "missing" / "x.csv"))
+        assert result.returncode == 2
+        assert result.stdout == "" and "Traceback" not in result.stderr
+        assert not (tmp_path / "missing").exists()
+
     def test_feasibility_to_stdout(self, capsys):
         assert main(["feasibility", "--p", "5", "--d-max", "1", "--q-max", "4",
                      "--format", "json"]) == 0

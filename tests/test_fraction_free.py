@@ -359,7 +359,7 @@ class TestLaurentProduct:
         distinct = 0
         for _ in range(60):
             f, g = random_laurent_geom(rng, table), random_laurent_geom(rng, table)
-            flat = algebra._laurent_product(table, f._t, g._t)
+            flat = algebra._laurent_product(f, g)
             assert flat is not None
             assert representation(GeomPoly._raw(table, flat)) == representation(nested(f, g))
             assert representation(f * g) == representation(nested(f, g))
@@ -396,7 +396,7 @@ class TestLaurentProduct:
         # clearing 1/a1^k lifts a1^k to a1^2k, one past the a1 field
         f = (x1.scaled(ParamRational(power))
              + x2.scaled(ParamRational(SparsePoly.const(table, 1), power)))
-        assert algebra._laurent_product(table, f._t, x1._t) is None
+        assert algebra._laurent_product(f, x1) is None
         assert representation(f * x1) == representation(nested(f, x1))
         assert (f * x1).coefficient({"x1": 2}) == ParamRational(power)
 
@@ -405,11 +405,82 @@ class TestLaurentProduct:
         inv = ParamRational(SparsePoly.const(table, 1),
                             SparsePoly.var(table, "a0", MAX_DEGREE // 2 + 1))
         f = GeomPoly.var(table, "x1").scaled(inv)
-        assert algebra._laurent_product(table, f._t, f._t) is None
+        assert algebra._laurent_product(f, f) is None
         with pytest.raises(OverflowError):
             nested(f, f)
         with pytest.raises(OverflowError):
             f * f
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_chained_products_keep_the_nested_representation(self, p):
+        # as in ``_rref``: one pivot times many values, then products of
+        # those products, so each factor's kept lift is read many times
+        rng = random.Random(1021 + p)
+        table = make_table(p)
+        pivot = random_laurent_geom(rng, table, max_terms=3)
+        level = [random_laurent_geom(rng, table, max_terms=3) for _ in range(8)]
+
+        def step(f, g):
+            assert algebra._laurent_product(f, g) is not None
+            product = f * g
+            assert representation(product) == representation(nested(f, g))
+            return product
+        kept = None
+        for _ in range(2):
+            level = [step(pivot, f) for f in level] + [step(f, pivot) for f in level[:2]]
+            kept = kept or pivot._lift
+            level = [step(f, g) for f, g in zip(level, level[1:])] + level[:3]
+        assert pivot._lift is kept
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_kept_lift_equals_a_fresh_one(self, p):
+        rng = random.Random(1031 + p)
+        table = make_table(p)
+        split = table._deg_shift + algebra.FIELD_BITS + 2  # as in _laurent_product
+        for _ in range(10):
+            f = random_laurent_geom(rng, table)
+            for _ in range(4):
+                g = random_laurent_geom(rng, table)
+                assert representation(f * g) == representation(nested(f, g))
+                assert representation(g * f) == representation(nested(g, f))
+            assert f._lift == algebra._lifted(table, f._t, split)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_fused_coefficient_is_the_normal_form(self, p):
+        table = make_table(p)
+
+        def key(**exps):
+            return algebra._pack_named(table, exps)
+        cases = [
+            # a constant term: nothing is stripped
+            ({0: 1, key(a0=2): p - 1}, key(a0=1, a1=1)),
+            # the content is the whole denominator: den becomes 1
+            ({key(a0=2, a1=1): 1, key(a0=3): 1}, key(a0=2)),
+            ({key(a0=1): 1}, key(a0=1)),
+            # a denominator key of 0
+            ({key(a1=2): 1, key(a2=1): p - 1}, 0),
+            # numerator exponents past the denominator's are capped by it
+            ({key(a0=5, a1=4): 1, key(a0=4, a1=3): 1}, key(a0=1, a1=2)),
+            # the least exponent sits in a later key than the first
+            ({key(a0=3, a2=2): 1, key(a0=1, a2=1): 1, key(a0=2): 1}, key(a0=2, a2=2)),
+        ]
+        rng = random.Random(1041 + p)
+        for _ in range(40):
+            nt = random_nonzero_sparse(rng, table, max_terms=3, params_only=True)._t
+            # times a random monomial, so that there is content to strip
+            factor = max(random_sparse(rng, table, max_terms=1, params_only=True)._t,
+                         default=0)
+            cases.append(({k + factor: c for k, c in nt.items()},
+                          key(**{f"a{i}": rng.randint(0, 3) for i in range(3)})))
+        stripped = 0
+        for nt, den_key in cases:
+            fused = algebra._laurent_coefficient(
+                table, dict(nt), den_key, algebra._den_fields(table, den_key))
+            num, den = algebra._normalised(SparsePoly._raw(table, dict(nt)),
+                                           SparsePoly._raw(table, {den_key: 1}))
+            assert (fused.num._t, fused.den._t) == (num._t, den._t)
+            stripped += max(den._t) != den_key
+        assert stripped > 10
 
 
 class TestProductRoutes:

@@ -17,7 +17,7 @@ from delpezzo.algebra import (
     parse,
 )
 from delpezzo.quotient import BaseRingS, TTable, jacobian_minors, t_rewrite_rules
-from delpezzo.surfaces import _h_polynomial, build_presentation, others
+from delpezzo.surfaces import _h_polynomial, build_presentation, cusp_curve, others
 from randpoly import (
     make_table,
     random_nonzero_geom,
@@ -258,3 +258,46 @@ def test_t_table_of_a_perturbed_relation_is_not_associative():
     triples = sympy_associators(bad)
     assert len(triples) == 12
     assert triples == TTable(bad, t_rewrite_rules(bad, flat=True)).nonassociative()
+
+
+def cramer_setup():
+    """The cusp report, sympy symbols for the depth-3 parameters, and the
+    Cramer matrices rebuilt from the root monomials: row j holds the
+    p^j-th roots of the depth-0 a_i, which are symbol^(2^(3-j))."""
+    report, _ = cusp_curve()
+    syms = symbols(build_presentation(0, report.root_depth).table)
+    a = syms[:4]
+    roots = [[a[i] ** 2 ** (report.root_depth - j) for i in range(4)] for j in (1, 2, 3)]
+    matrix_a = sp.Matrix([[row[i] for i in (1, 2, 3)] for row in roots])
+    b_column = sp.Matrix([row[0] for row in roots])
+    return report, syms, matrix_a, b_column
+
+
+def gf2(expr, syms):
+    return sp.Poly(expr, *syms, modulus=2)
+
+
+def cramer_identity_holds(report, syms, det_a1, det_a):
+    """det_A_1^4 c13 = det_A^4 c11, cross-multiplied over GF(2)."""
+    c11, c13 = report.coefficients["c_11"], report.coefficients["c_13"]
+    left = gf2(det_a1, syms) ** 4 * as_gf_poly(c13.num, syms, 2) * as_gf_poly(c11.den, syms, 2)
+    right = gf2(det_a, syms) ** 4 * as_gf_poly(c11.num, syms, 2) * as_gf_poly(c13.den, syms, 2)
+    return left == right
+
+
+def test_cusp_cramer_determinants_match_sympy():
+    report, syms, matrix_a, b_column = cramer_setup()
+    matrix_a1 = matrix_a.copy()
+    matrix_a1[:, 0] = b_column
+    assert as_gf_poly(report.det_a, syms, 2) == gf2(matrix_a.det(), syms)
+    assert as_gf_poly(report.det_a1, syms, 2) == gf2(matrix_a1.det(), syms)
+    assert cramer_identity_holds(report, syms, matrix_a1.det(), matrix_a.det())
+
+
+def test_cusp_cramer_identity_fails_for_a_swapped_column():
+    report, syms, matrix_a, b_column = cramer_setup()
+    # b in the second column is Cramer's numerator of the wrong unknown
+    swapped = matrix_a.copy()
+    swapped[:, 1] = b_column
+    assert not gf2(swapped.det(), syms).is_zero
+    assert not cramer_identity_holds(report, syms, swapped.det(), matrix_a.det())

@@ -84,6 +84,37 @@ class TestStageCounts:
         # the 7x6 Jacobian; the u-block and t-block minors are read off it
         assert len(calls) == 7 * 6
 
+    def test_flat_products_lift_once_and_rescan_no_content(self, monkeypatch):
+        fol = surfaces.FoliationSpec.build("deg1", QuadricChart.build(0))
+        pres = build_presentation(0)
+        lifted, rescans, outside, depth = [], [], [], [0]
+        lift, product, content = (algebra._lifted, algebra._laurent_product,
+                                  algebra._content_key)
+
+        def counted_lift(table, terms, split):
+            lifted.append(terms)  # kept alive, so no id is reused
+            return lift(table, terms, split)
+
+        def counted_product(a, b):
+            depth[0] += 1
+            try:
+                return product(a, b)
+            finally:
+                depth[0] -= 1
+
+        def counted_content(table, keys):
+            (rescans if depth[0] else outside).append(keys)
+            return content(table, keys)
+        monkeypatch.setattr(algebra, "_lifted", counted_lift)
+        monkeypatch.setattr(algebra, "_laurent_product", counted_product)
+        monkeypatch.setattr(algebra, "_content_key", counted_content)
+        checks = verify_presentation(pres, BaseRingS(pres.table, 0), fol.theta)
+        assert checks and all(c.passed for c in checks)
+        # each GeomPoly owns its term map: none is lifted twice
+        assert lifted and len({id(t) for t in lifted}) == len(lifted)
+        # _content_key is live on the other routes, never inside a flat product
+        assert outside and not rescans
+
     def test_emit_round_trip_compares_no_distinct_tables(self, monkeypatch, tmp_path):
         distinct = []
         orig = VarTable.__eq__
