@@ -395,7 +395,8 @@ class SparsePoly(_TermMap):
     whose result would exceed it raises ``OverflowError`` instead of
     wrapping.  The constructor takes a map from exponent tuples to
     integers and validates width, signs and the degree limit; ``terms`` is
-    a read-only view keyed by exponent tuples.
+    a read-only view keyed by exponent tuples.  A value hashes by its
+    term map, which never changes once built.
     """
 
     __slots__ = ()
@@ -431,6 +432,9 @@ class SparsePoly(_TermMap):
         if not coeff:
             return cls.zero(table)
         return cls._raw(table, {_pack_named(table, exps): coeff})
+
+    def __hash__(self):
+        return hash(frozenset(self._t.items()))
 
     def __add__(self, other: SparsePoly) -> SparsePoly:
         _same_table(self, other)

@@ -397,11 +397,14 @@ class TTable:
 
     def nonassociative(self) -> list:
         """The basis triples (i, j, k) of t-positions with
-        (t_i t_j) t_k != t_i (t_j t_k), compared exactly in GF(2)[a][u]."""
+        (t_i t_j) t_k != t_i (t_j t_k), compared exactly in GF(2)[a][u];
+        t_i t_j is read off the table."""
         one = SparsePoly.const(self.pres.table, 1)
         t = [TValue(self, [one if k == i else self.zero for k in range(4)]) for i in (1, 2, 3)]
+        tt = {(i, j): TValue(self, self.consts[min(i, j), max(i, j)])
+              for i, j in product(range(3), repeat=2)}
         return [(i, j, k) for i, j, k in product(range(3), repeat=3)
-                if ((t[i] * t[j]) * t[k]).coords != (t[i] * (t[j] * t[k])).coords]
+                if (tt[i, j] * t[k]).coords != (t[i] * tt[j, k]).coords]
 
 
 class TValue:

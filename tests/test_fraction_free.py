@@ -28,7 +28,6 @@ from delpezzo.quotient import (
     BaseRingS,
     TTable,
     alpha_value,
-    jacobian,
     jacobian_minors,
     t_coordinates,
     t_parts,
@@ -43,7 +42,7 @@ from randpoly import (
     random_sparse,
     random_t_linear,
 )
-from test_stages import perturbed
+from test_stages import perturbed, table_minors
 
 
 def random_chart_poly(rng, pres, terms=5):
@@ -207,16 +206,6 @@ class TestCrossCheck:
             f"checked 525 minors, failures at {flat[:4]}, t-table not associative at {skew}")
 
 
-def table_minors(pres):
-    """The t-table of a presentation, its flat rules and relations, and the
-    4x4 minors taken on the table values of the Jacobian entries."""
-    rules = t_rewrite_rules(pres, flat=True)
-    t_table = TTable(pres, rules)
-    rels = [rel.as_sparse() for rel in pres.relations.values()]
-    values = [[t_table.value(e) for e in row] for row in jacobian(rels, pres.generators)]
-    return t_table, rules, rels, jacobian_minors(rels, pres.generators, 4, values)
-
-
 class TestTTable:
     @pytest.mark.parametrize("chart", (0, 1, 2, 3))
     def test_table_coordinates_equal_the_rewritten_ones(self, chart):
@@ -270,6 +259,23 @@ class TestTTable:
                    " ((0, 1, 2, 4), (0, 1, 2, 4)), ((0, 1, 2, 4), (0, 1, 2, 5)),"
                    " ((0, 1, 2, 5), (0, 1, 2, 3))], t-table not associative at"
                    " [(0, 0, 1), (0, 0, 2), (0, 1, 2), (0, 2, 1)] (8 of 27)"}[name]
+
+    @pytest.mark.parametrize("chart, name, first, flagged", [
+        *[(c, None, None, 0) for c in (0, 1, 2, 3)],
+        *[(c, "r_4", "u{n}*t{n}", 135) for c in (0, 1, 2, 3)],
+        (0, "r_1", "u1*u2", 134)])
+    def test_shared_verdicts_equal_the_per_coordinate_ones(self, chart, name, first, flagged):
+        pres = build_presentation(chart)
+        if name:
+            pres = perturbed(pres, name, first.format(n=others(chart)[0]))
+        minors = table_minors(pres)[3]
+        ring = BaseRingS(pres.table, chart)
+        divisor = exact_divide(ring.pseudo_reduce(surfaces._h_polynomial(pres.table, chart)),
+                               alpha_value(pres.table, others(chart)[-1]).num)
+        bad = undivided_minors([(index, m.coords) for index, m in minors],
+                               ring.pseudo_reduce, divisor)
+        assert len(bad) == flagged
+        assert surfaces._undivided(minors, ring.pseudo_reduce, divisor) == bad
 
 
 @contextmanager

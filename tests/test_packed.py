@@ -107,6 +107,26 @@ def test_terms_view_is_tuple_keyed_and_read_only():
         GeomPoly(WIDE, {key: 1})
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_equal_polynomials_hash_equal_whatever_their_insertion_order(p):
+    table = VarTable(["a", "x", "y"], [PARAM, GEOM, GEOM], p=p)
+    terms = {(1, 2, 0): 1, (0, 1, 1): p - 1, (0, 0, 0): 1, (2, 0, 3): p - 1}
+    f = SparsePoly(table, terms)
+    g = SparsePoly(table, dict(reversed(terms.items())))
+    x, y = SparsePoly.var(table, "x"), SparsePoly.var(table, "y")
+    # a sum that cancels a term on the way, built in the other order
+    h = (y + x * y - y) + SparsePoly.const(table, 1)
+    k = SparsePoly.const(table, 1) + x * y
+    assert list(f.terms) != list(g.terms) and list(h.terms) != list(k.terms)
+    assert f == g and hash(f) == hash(g)
+    assert h == k and hash(h) == hash(k)
+    seen = {f: "f", g: "g", h: "h", k: "k", f + x: "other"}
+    assert seen == {f: "g", h: "k", f + x: "other"}
+    assert hash(SparsePoly.zero(table)) == hash(x - x)
+    with pytest.raises(TypeError):
+        hash(parse(table, "a*x + y"))
+
+
 def count_products(monkeypatch, cls):
     calls = []
     inner = cls.__mul__

@@ -1,6 +1,7 @@
 """Each chart stage runs once: one kernel per presentation, one t-table per
-singular scan, one normal form per t-block minor and one variable table
-per (chart, depth).  Also the negative controls of
+singular scan, one normal form per t-block minor, one division by h per
+distinct nonzero minor coordinate and one variable table per (chart,
+depth).  Also the negative controls of
 the presentation, singular-locus, cusp, fibre-injectivity and reducedness
 witness checks, and a check that every name the benchmark's tracer wraps
 still exists."""
@@ -84,6 +85,23 @@ class TestStageCounts:
         # the 7x6 Jacobian; the u-block and t-block minors are read off it
         assert len(calls) == 7 * 6
 
+    @pytest.mark.parametrize("chart", CHARTS)
+    def test_singular_locus_divides_each_distinct_coordinate_once(self, monkeypatch, chart):
+        pres = build_presentation(chart)
+        minors = table_minors(pres)[3]
+        distinct = {tuple(sorted(c.terms.items()))
+                    for _, minor in minors for c in minor.coords if not c.is_zero()}
+        orig, divided = surfaces.exact_divide, []
+
+        def counted(f, g):
+            divided.append(f)
+            return orig(f, g)
+        monkeypatch.setattr(surfaces, "exact_divide", counted)
+        checks = singular_locus(pres)
+        assert all(c.passed for c in checks)
+        # of the 4 x 525 coordinates only the distinct nonzero ones are divided
+        assert len(divided) == len(distinct) == 18
+
     def test_flat_products_lift_once_and_rescan_no_content(self, monkeypatch):
         fol = surfaces.FoliationSpec.build("deg1", QuadricChart.build(0))
         pres = build_presentation(0)
@@ -146,6 +164,17 @@ class TestTableInterning:
     def test_different_values_different_tables(self):
         tables = [chart_table(c, d) for c in CHARTS for d in (0, 1, 3)]
         assert len({id(t) for t in tables}) == len(tables)
+
+
+def table_minors(pres):
+    """The t-table of a presentation, its flat rules and relations, and the
+    4x4 minors taken on the table values of the Jacobian entries."""
+    rules = quotient.t_rewrite_rules(pres, flat=True)
+    t_table = quotient.TTable(pres, rules)
+    rels = [rel.as_sparse() for rel in pres.relations.values()]
+    values = [[t_table.value(e) for e in row]
+              for row in quotient.jacobian(rels, pres.generators)]
+    return t_table, rules, rels, quotient.jacobian_minors(rels, pres.generators, 4, values)
 
 
 def perturbed(pres: Presentation, name: str, monomial: str) -> Presentation:
