@@ -20,8 +20,8 @@ The value model has two term maps and one fraction arithmetic:
   only.  With polynomial coefficients it is a ``SparsePoly`` on the same
   table (``as_sparse``), the fraction-free form in GF(p)[a][x], where
   ``pseudo_substitute`` eliminates a variable by pseudo-division; both
-  types share ``partial``, ``rewrite`` and ``exact_divide``.  A product
-  of two ``GeomPoly`` values takes one of two routes.  When every
+  types share ``partial`` and ``exact_divide``.  A product of two
+  ``GeomPoly`` values takes one of two routes.  When every
   coefficient's denominator is a monomial, each factor is lifted to one
   integer term map (denominators cleared by their lcm, geometric keys
   above the parameter keys) and the two maps are multiplied once; else
@@ -854,7 +854,10 @@ class GeomPoly(_TermMap):
         shift = table._deg_shift
         _check_degree((max(a) >> shift) + (max(b) >> shift))
         out = None
-        if _monomial_dens(a) and _monomial_dens(b):
+        # a kept lift proves its value's denominators are monomials, and a
+        # square scans its one term map once
+        if ((hasattr(self, "_lift") or _monomial_dens(a))
+                and (other is self or hasattr(other, "_lift") or _monomial_dens(b))):
             out = _laurent_product(self, other)
         if out is None:
             out = _nested_product(a, b)
@@ -1091,42 +1094,6 @@ def strip_common_monomial(polys: list[GeomPoly]) -> list[GeomPoly]:
         return polys
     return [GeomPoly._raw(table, {k - common: c for k, c in g._t.items()})
             for g in polys]
-
-
-def rewrite(f, rules):
-    """Apply monomial rewrite rules until no rule applies.
-
-    ``rules`` is a sequence of (lhs, rhs) pairs of f's type: a monomial with
-    coefficient one and its replacement polynomial.  Each step takes the
-    first term of the current polynomial, in its term order, that some
-    lhs divides, and the first such rule in the order given, and replaces
-    c*m*lhs by (c*m)*rhs.  The rules must strictly lower some
-    well-founded measure, or the loop does not end.
-    """
-    table = f.table
-    packed = []
-    for lhs, rhs in rules:
-        terms = list(lhs._t.items())
-        if len(terms) != 1 or not lhs._unit_coeff(terms[0][1]):
-            raise ValueError("a rewrite rule must start from a monomial")
-        packed.append((terms[0][0], rhs))
-    while True:
-        redex = _first_redex(f, packed)
-        if redex is None:
-            return f
-        key, step, rhs = redex
-        c = f._t[key]
-        f = f - f._raw(table, {key: c}) + f._raw(table, {step: c}) * rhs
-
-
-def _first_redex(f, packed: list):
-    table = f.table
-    for key in f._t:
-        for lhs, rhs in packed:
-            step = _divided_key(table, key, lhs)
-            if step is not None:
-                return key, step, rhs
-    return None
 
 
 class Derivation:

@@ -16,19 +16,22 @@ lies in S and the matrix identity mat * v = 0 is rechecked exactly.
 of the quotient ring; ``verify_presentation`` certifies them against the
 computed kernel and, from the same kernel, checks the degree of the
 factorisation tower, so each presentation's matrix and kernel are
-computed once.  ``normal_form`` rewrites away all quadratic monomials in
-the t generators; ``TTable`` reads its rules as the structure constants
-of the t-algebra, whose products build no t-quadratic monomial.  Both
-work on flat ``SparsePoly`` values (``normal_form`` on ``GeomPoly`` ones
-too), which ``BaseRingS.pseudo_reduce`` reduces fraction-free to
-a_elim^k times ``reduce`` (``surfaces.singular_locus`` shows by Gauss's
-lemma that divisibility by h survives).
+computed once.  The normal form of the quotient ring is ``TTable``, the
+structure constants of the t-algebra read from the relations:
+``normal_form`` turns a t-linear value into a ``TValue`` on 1, t_a, t_b,
+t_c, and a product of two of them sends each t-quadratic part through one
+table entry, so no t-quadratic monomial is ever built.  A product of two
+t-linear values is a single lookup and needs no associativity; longer
+products are unique when the table is associative.  The table holds
+flat ``SparsePoly`` values, which ``BaseRingS.pseudo_reduce`` reduces
+fraction-free to a_elim^k times ``reduce`` (``surfaces.singular_locus``
+shows by Gauss's lemma that divisibility by h survives).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 
 from .algebra import (
     GeomPoly,
@@ -37,7 +40,6 @@ from .algebra import (
     SparsePoly,
     VarTable,
     pseudo_substitute,
-    rewrite,
     strip_common_monomial,
 )
 from .reports import CheckResult, check
@@ -338,40 +340,6 @@ class Presentation:
                    relations=relations, embedding=embedding, table=table)
 
 
-def t_rewrite_rules(pres: Presentation, flat: bool = False) -> list:
-    """Rules for ``rewrite`` sending each bare quadratic t-monomial to its
-    S-linear normal form, read off from the relations (``SparsePoly`` ones
-    when ``flat``).
-
-    The rules are ordered by their t-pairs (0,0), (0,1), ..., (2,2), so
-    the first rule dividing a monomial pairs its first t with itself when
-    that t is squared and else with the next t it carries.  Each t-pair
-    needs one relation with a t-linear right side, else ArithmeticError.
-    """
-    table = pres.table
-    t_idx = [table.index(n) for n in pres.t_names]
-    by_pair = {}
-    for rel in pres.relations.values():
-        quads = [(exp, c) for exp, c in rel.terms.items()
-                 if sum(exp[i] for i in t_idx) == 2]
-        if len(quads) != 1:
-            continue
-        exp, c = quads[0]
-        if any(e for i, e in enumerate(exp) if i not in t_idx):
-            continue
-        pair = tuple(sorted(pos for pos, i in enumerate(t_idx)
-                            for _ in range(exp[i])))
-        if pair in by_pair:
-            raise ArithmeticError(f"two relations rewrite the t-pair {pair}")
-        rhs = (-(rel - GeomPoly(table, {exp: c}))).scaled(c.inverse())
-        t_parts(rhs, pres)
-        by_pair[pair] = (GeomPoly(table, {exp: 1}), rhs)
-    if len(by_pair) != 6:
-        raise ArithmeticError(f"the relations rewrite {len(by_pair)} of the 6 t-pairs")
-    rules = [by_pair[pair] for pair in sorted(by_pair)]
-    return [(lhs.as_sparse(), rhs.as_sparse()) for lhs, rhs in rules] if flat else rules
-
-
 def t_parts(f, pres: Presentation) -> tuple:
     """``linear_parts`` on the t generators, raising ArithmeticError."""
     try:
@@ -382,18 +350,33 @@ def t_parts(f, pres: Presentation) -> tuple:
 
 class TTable:
     """Structure constants t_i t_j = c_ij0 + sum_k c_ijk t_k (t-positions
-    i <= j) of the rank-4 t-algebra, read off the flat rules."""
+    i <= j) of the rank-4 t-algebra: the normal form of the quotient ring.
+
+    Each c_ij is read straight from the one relation whose only
+    t-quadratic term is the bare monomial c * t_i t_j, as the flat
+    coordinates of (t_i t_j - relation / c) on 1, t_a, t_b, t_c.  A right
+    side that is not t-linear, a t-pair two relations rewrite, or fewer
+    than six t-pairs raise ArithmeticError."""
 
     __slots__ = ("pres", "consts", "zero")
 
-    def __init__(self, pres: Presentation, rules: list):
-        self.pres, self.zero = pres, SparsePoly.zero(pres.table)
-        pairs = combinations_with_replacement(range(3), 2)
-        self.consts = {pair: t_parts(rhs, pres)
-                       for pair, (_, rhs) in zip(pairs, rules, strict=True)}
-
-    def value(self, f: SparsePoly) -> TValue:
-        return TValue(self, t_parts(f, self.pres))
+    def __init__(self, pres: Presentation):
+        table = pres.table
+        t_idx = [table.index(n) for n in pres.t_names]
+        self.pres, self.zero, self.consts = pres, SparsePoly.zero(table), {}
+        for rel in pres.relations.values():
+            quads = [(exp, c) for exp, c in rel.terms.items()
+                     if sum(exp[i] for i in t_idx) == 2]
+            if len(quads) != 1 or any(e for i, e in enumerate(quads[0][0]) if i not in t_idx):
+                continue
+            exp, c = quads[0]
+            pair = tuple(pos for pos, i in enumerate(t_idx) for _ in range(exp[i]))
+            if pair in self.consts:
+                raise ArithmeticError(f"two relations rewrite the t-pair {pair}")
+            rhs = (-(rel - GeomPoly(table, {exp: c}))).scaled(c.inverse())
+            self.consts[pair] = tuple(part.as_sparse() for part in t_parts(rhs, pres))
+        if len(self.consts) != 6:
+            raise ArithmeticError(f"the relations rewrite {len(self.consts)} of the 6 t-pairs")
 
     def nonassociative(self) -> list:
         """The basis triples (i, j, k) of t-positions with
@@ -448,30 +431,11 @@ class TValue:
         return TValue(self.table, [sum(p[1:], p[0]) if p else self.table.zero for p in parts])
 
 
-def normal_form(f, pres: Presentation, rules: list | None = None):
-    """Rewrite every monomial of t-degree >= 2 until none remains.
-
-    Each step removes one monomial of t-degree d and inserts monomials of
-    t-degree at most d - 1, so the multiset of t-degrees strictly
-    decreases and the loop terminates, given the t-linear right sides
-    ``t_rewrite_rules`` enforces.  The result, of f's type, is the
-    S-linear combination of 1, t_a, t_b, t_c representing f in the
-    quotient ring, unique when the rules' ``TTable`` is associative.  A
-    monomial of t-degree >= 2 that no rule reduces raises ValueError.
-    """
-    if rules is None:
-        rules = t_rewrite_rules(pres, isinstance(f, SparsePoly))
-    nf = rewrite(f, rules)
-    if len(rules) < 6:
-        # with all six t-pairs every t-monomial of degree >= 2 is reduced;
-        # with fewer, one left over raises ValueError here
-        nf.linear_parts(pres.t_names)
-    return nf
-
-
-def t_coordinates(f, pres: Presentation, rules: list | None = None):
-    """Normal form split into its four S-coordinates on 1, t_a, t_b, t_c."""
-    return normal_form(f, pres, rules).linear_parts(pres.t_names)
+def normal_form(f: SparsePoly, t_table: TTable) -> TValue:
+    """The ``TValue`` of a t-linear flat value f; any other value raises
+    ArithmeticError.  Products of such values are then taken in the table,
+    which is the normal form: no t-quadratic monomial is ever built."""
+    return TValue(t_table, t_parts(f, t_table.pres))
 
 
 def jacobian(relations, var_names) -> list[list]:

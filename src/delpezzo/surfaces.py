@@ -42,7 +42,6 @@ from .algebra import (
     SparsePoly,
     VarTable,
     exact_divide,
-    rewrite,
     root_monomial,
 )
 from .quotient import (
@@ -54,8 +53,7 @@ from .quotient import (
     frobenius_factorization_check,  # noqa: F401  (bench/tracer.py traces it here)
     jacobian,
     jacobian_minors,
-    t_coordinates,
-    t_rewrite_rules,
+    normal_form,
     verify_presentation,
 )
 from .reports import CheckResult, check
@@ -317,18 +315,21 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
     which is h' * 0, and the rest repeat few values; as the verdict depends
     on the value alone, each distinct nonzero one is decided once.
 
-    The 4x4 minors are taken in the t-algebra (``TTable``).  If its table
-    is associative on the 27 basis triples, t_k -> t_k is a ring map from
-    R onto it killing the relations and fixing t-linear values, so every
-    rewrite of f ends at the image of f: the rules are confluent (the
-    diamond lemma), normal forms in GF(2)[a][u] are unique and equal the
-    table's coordinates.  So the check also needs associativity.
+    The minors are taken in the t-algebra (``TTable``), into which
+    ``normal_form`` turns each Jacobian entry once.  If its table is
+    associative on the 27 basis triples, t_k -> t_k is a ring map from R
+    onto it killing the relations and fixing t-linear values, so the
+    table's coordinates of a product are those of its image, unique in
+    GF(2)[a][u] (Bergman's diamond lemma: associativity of the structure
+    constants is the confluence of the reductions they define).  So the
+    4x4 check also needs associativity.  A 2x2 t-block minor is a sum of
+    products of two t-linear entries, each one table lookup, so its
+    coordinates need none.
     """
     table = pres.table
     i0 = pres.chart
     ring = BaseRingS(table, i0)
-    rules = t_rewrite_rules(pres, flat=True)
-    t_table = TTable(pres, rules)
+    t_table = TTable(pres)
     rel_names = list(pres.relations)
     rels = [rel.as_sparse() for rel in pres.relations.values()]
     alpha = {i: alpha_value(table, i) for i in range(4)}
@@ -341,7 +342,7 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
     out = []
 
     jac = jacobian(rels, pres.generators)
-    values = [[t_table.value(entry) for entry in row] for row in jac]
+    values = [[normal_form(entry, t_table) for entry in row] for row in jac]
     minors = jacobian_minors(rels, pres.generators, 4, values)
     bad = _undivided(minors, ring.pseudo_reduce, closed)
     skew = t_table.nonassociative()
@@ -363,11 +364,11 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
         out.append(check(f"u_block_minor[{label}]", ok,
                          None if ok else f"minor={ring.reduce(minor.as_geom())}"))
 
-    lower = jacobian_minors(rels[4:], pres.t_names, 2, [row[3:] for row in jac[4:]])
-    for (rows, cols), minor in lower:
-        coords = t_coordinates(minor, pres, rules)
-        vanishes = all(ring.pseudo_reduce(c).is_zero() for c in coords)
-        named = [n for n, rel in zip(rel_names, rels) if rel == minor]
+    lower = jacobian_minors(rels[4:], pres.t_names, 2, [row[3:] for row in values[4:]])
+    raw = jacobian_minors(rels[4:], pres.t_names, 2, [row[3:] for row in jac[4:]])
+    for ((rows, cols), minor), (_, raw_minor) in zip(lower, raw, strict=True):
+        vanishes = all(ring.pseudo_reduce(c).is_zero() for c in minor.coords)
+        named = [n for n, rel in zip(rel_names, rels) if rel == raw_minor]
         witness = f"equals {named[0]}" if named else None
         out.append(check(f"t_block_minor[rows={rows},cols={cols}]",
                          vanishes, witness))
@@ -523,14 +524,14 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
         "t2": s.scaled(roots["c21/c11"]) + u1.scaled(roots["c22"]),
         "t3": s.scaled(roots["c31/c11"]) + u1.scaled(roots["c32"]),
     }
-    curve_rhs = u1.scaled(c[(1, 1)]) + (u1 ** 3).scaled(c[(1, 3)])
-    # s^2 -> u (c11 + c13 u^2) lowers the s-degree by two at each step
-    s_rule = [(GeomPoly.var(table, "s", 2), curve_rhs)]
+    curve_relation = s ** 2 + u1.scaled(c[(1, 1)]) + (u1 ** 3).scaled(c[(1, 3)])
+    # the generator of a principal ideal is a Groebner basis for any order,
+    # so exact division decides membership in it
     for m in (4, 5, 6):
         g = pres.relations[f"r_{m}"].substituted(locus_subs | t_subs)
-        reduced = rewrite(g, s_rule)
-        out.append(check(f"curve_relation_reduces[r_{m}]", reduced.is_zero(),
-                         None if reduced.is_zero() else f"residue={reduced}"))
+        ok = exact_divide(g, curve_relation) is not None
+        out.append(check(f"curve_relation_reduces[r_{m}]", ok,
+                         None if ok else f"image={g}"))
 
     ratio = c[(1, 1)] / c[(1, 3)]
     cusp_u = ratio.p_root()
@@ -573,7 +574,7 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
     report = CuspReport(
         root_depth=depth,
         coefficients=coefficients,
-        curve_relation=s ** 2 + curve_rhs,
+        curve_relation=curve_relation,
         cusp_u=cusp_u,
         cramer_a=a_matrix,
         cramer_a1=a1_matrix,

@@ -17,7 +17,6 @@ from delpezzo.algebra import (
     ZeroDenominatorError,
     exact_divide,
     parse,
-    rewrite,
     root_monomial,
     strip_common_monomial,
 )
@@ -261,27 +260,6 @@ class TestExactDivide:
     def test_zero_dividend(self):
         tbl = table()
         assert exact_divide(GeomPoly.zero(tbl), GeomPoly.var(tbl, "u1")).is_zero()
-
-
-class TestRewrite:
-    def test_rewrites_to_a_fixpoint(self):
-        tbl = table()
-        rules = [(parse(tbl, "x1^2"), parse(tbl, "a0*x2"))]
-        assert rewrite(parse(tbl, "x1^5 + x3"), rules) == parse(tbl, "a0^2*x1*x2^2 + x3")
-
-    def test_first_rule_in_order_wins(self):
-        tbl = table()
-        square = (parse(tbl, "x1^2"), parse(tbl, "x3"))
-        mixed = (parse(tbl, "x1*x2"), GeomPoly.zero(tbl))
-        f = parse(tbl, "x1^2*x2")
-        assert rewrite(f, [square, mixed]) == parse(tbl, "x2*x3")
-        assert rewrite(f, [mixed, square]).is_zero()
-
-    @pytest.mark.parametrize("lhs", ["x1 + x2", "a0*x1", "0"])
-    def test_rule_must_start_from_a_monomial(self, lhs):
-        tbl = table()
-        with pytest.raises(ValueError):
-            rewrite(parse(tbl, "x1"), [(parse(tbl, lhs), GeomPoly.one(tbl))])
 
     def test_strip_common_monomial(self):
         tbl = table()

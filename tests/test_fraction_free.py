@@ -1,7 +1,7 @@
 """The fraction-free routes.  The singular locus: the flat ``SparsePoly``
 primitives it runs on, a cross-check against the same generic functions
 called on ``GeomPoly`` values with rational coefficients, the t-table's
-minors against the rewritten ones, and the guards that stop the scan
+minors and products against their images in M, and the guards that stop the scan
 with ArithmeticError (exit 3) instead of reporting a FAIL.  The
 ``GeomPoly`` product: the flat route over monomial denominators gives the
 nested route's exact representation, falls back on other denominators
@@ -29,9 +29,8 @@ from delpezzo.quotient import (
     TTable,
     alpha_value,
     jacobian_minors,
-    t_coordinates,
+    normal_form,
     t_parts,
-    t_rewrite_rules,
     verify_presentation,
 )
 from delpezzo.surfaces import build_presentation, others, singular_locus
@@ -42,7 +41,7 @@ from randpoly import (
     random_sparse,
     random_t_linear,
 )
-from test_stages import perturbed, table_minors
+from test_stages import embedded, perturbed, t_poly, table_minors
 
 
 def random_chart_poly(rng, pres, terms=5):
@@ -153,21 +152,19 @@ def undivided_minors(minors, reduce, divisor) -> list:
 
 
 def failing_minors(pres, flat: bool) -> list:
-    """The 4x4 minors that fail divisibility by h, on the flat route or on
-    the GeomPoly route with rational coefficients."""
+    """The 4x4 minors that fail divisibility by h, from their table
+    coordinates: on the flat route, or lifted to ``GeomPoly`` values,
+    reduced by ``BaseRingS.reduce`` and divided by h over Frac(a)."""
     ring = BaseRingS(pres.table, pres.chart)
-    rels = list(pres.relations.values())
     h = surfaces._h_polynomial(pres.table, pres.chart)
+    minors = [(index, value.coords) for index, value in table_minors(pres)[2]]
     if flat:
-        rels = [rel.as_sparse() for rel in rels]
         reduce = ring.pseudo_reduce
         divisor = exact_divide(reduce(h), alpha_value(pres.table, others(pres.chart)[-1]).num)
     else:
         reduce, divisor = ring.reduce, ring.reduce(h.as_geom())
-    rules = t_rewrite_rules(pres, flat)
-    minors = jacobian_minors(rels, pres.generators, 4)
-    return undivided_minors([(index, t_coordinates(minor, pres, rules))
-                             for index, minor in minors], reduce, divisor)
+        minors = [(index, [c.as_geom() for c in coords]) for index, coords in minors]
+    return undivided_minors(minors, reduce, divisor)
 
 
 class TestCrossCheck:
@@ -177,21 +174,20 @@ class TestCrossCheck:
         rels = list(pres.relations.values())
         geom = jacobian_minors(rels, pres.generators, 4)
         flat = jacobian_minors([rel.as_sparse() for rel in rels], pres.generators, 4)
-        geom_rules, flat_rules = t_rewrite_rules(pres), t_rewrite_rules(pres, flat=True)
-        assert len(geom) == len(flat) == 525
+        values = table_minors(pres)[2]
+        assert len(geom) == len(flat) == len(values) == 525
         compared = 0
-        for (index, g), (flat_index, f) in zip(geom, flat):
+        for (index, g), (flat_index, f), (_, value) in zip(geom, flat, values, strict=True):
             assert index == flat_index and g.as_sparse() == f
-            for gc, fc in zip(t_coordinates(g, pres, geom_rules),
-                              t_coordinates(f, pres, flat_rules), strict=True):
+            for fc in value.coords:
                 k = fc.degree_in("u3")
-                cleared = ring.reduce(gc).scaled(alpha_value(pres.table, 3) ** k)
+                cleared = ring.reduce(fc.as_geom()).scaled(alpha_value(pres.table, 3) ** k)
                 assert cleared.as_sparse() == ring.pseudo_reduce(fc)
                 compared += 1
         assert compared == 4 * 525
 
     @pytest.mark.parametrize("chart, name, first, count", [
-        *[(c, "r_4", "u{n}*t{n}", 137) for c in (0, 1, 2, 3)],
+        *[(c, "r_4", "u{n}*t{n}", 135) for c in (0, 1, 2, 3)],
         (0, "r_1", "u1*u2", 134)])
     def test_failing_minors_agree(self, chart, name, first, count):
         n = others(chart)[0]
@@ -209,30 +205,39 @@ class TestCrossCheck:
 class TestTTable:
     @pytest.mark.parametrize("chart", (0, 1, 2, 3))
     def test_table_coordinates_equal_the_rewritten_ones(self, chart):
+        # the table coordinates and the raw minor are one element of the
+        # quotient ring, so they have one image in M; tests/test_oracle.py
+        # compares the coordinates themselves with a sympy reduction
         pres = build_presentation(chart)
-        t_table, rules, rels, minors = table_minors(pres)
+        ring = BaseRingS(pres.table, chart)
+        t_table, rels, minors = table_minors(pres)
         raw = jacobian_minors(rels, pres.generators, 4)
         assert len(minors) == len(raw) == 525
-        for (index, value), (raw_index, minor) in zip(minors, raw, strict=True):
-            assert index == raw_index
-            assert value.coords == t_coordinates(minor, pres, rules)
+        assert [index for index, _ in minors] == [index for index, _ in raw]
+        sample = random.Random(1201 + chart).sample(range(525), 12)
+        for k in sample:
+            assert embedded(t_poly(pres, minors[k][1]), pres, ring) == \
+                embedded(raw[k][1], pres, ring)
         assert t_table.nonassociative() == []
 
     @pytest.mark.parametrize("chart", (0, 1, 2, 3))
     def test_products_are_normal_forms_of_the_raw_products(self, chart):
         rng = random.Random(1101 + chart)
         pres = build_presentation(chart)
-        rules = t_rewrite_rules(pres, flat=True)
-        t_table = TTable(pres, rules)
+        ring = BaseRingS(pres.table, chart)
+        t_table = TTable(pres)
         quadratic = 0
         for _ in range(25):
             f, g, k = (random_t_linear(rng, pres) for _ in range(3))
-            x, y, z = (t_table.value(v) for v in (f, g, k))
-            assert (x * y).coords == t_coordinates(f * g, pres, rules)
-            assert ((x * y) * z).coords == t_coordinates(f * g * k, pres, rules)
+            x, y, z = (normal_form(v, t_table) for v in (f, g, k))
             assert (x * (y * z)).coords == ((x * y) * z).coords
             assert (x + y).coords == t_parts(f + g, pres)
             quadratic += all(any(not c.is_zero() for c in v.coords[1:]) for v in (x, y))
+        for f, g, k in [[random_t_linear(rng, pres) for _ in range(3)] for _ in range(3)]:
+            x, y, z = (normal_form(v, t_table) for v in (f, g, k))
+            assert embedded(t_poly(pres, x * y), pres, ring) == embedded(f * g, pres, ring)
+            assert embedded(t_poly(pres, (x * y) * z), pres, ring) == \
+                embedded(f * g * k, pres, ring)
         assert quadratic > 10
 
     @pytest.mark.parametrize("chart, name, first, flagged, skew", [
@@ -240,7 +245,7 @@ class TestTTable:
         (0, "r_1", "u1*u2", 134, 8)])
     def test_non_associative_table_fails_the_scan(self, chart, name, first, flagged, skew):
         pres = perturbed(build_presentation(chart), name, first.format(n=others(chart)[0]))
-        t_table, _, _, minors = table_minors(pres)
+        t_table, _, minors = table_minors(pres)
         ring = BaseRingS(pres.table, chart)
         divisor = exact_divide(ring.pseudo_reduce(surfaces._h_polynomial(pres.table, chart)),
                                alpha_value(pres.table, others(chart)[-1]).num)
@@ -268,7 +273,7 @@ class TestTTable:
         pres = build_presentation(chart)
         if name:
             pres = perturbed(pres, name, first.format(n=others(chart)[0]))
-        minors = table_minors(pres)[3]
+        minors = table_minors(pres)[2]
         ring = BaseRingS(pres.table, chart)
         divisor = exact_divide(ring.pseudo_reduce(surfaces._h_polynomial(pres.table, chart)),
                                alpha_value(pres.table, others(chart)[-1]).num)
@@ -302,30 +307,29 @@ class TestSoundnessGuards:
         out = capsys.readouterr()
         assert out.out == "" and "internal arithmetic error" in out.err
 
-    @pytest.mark.parametrize("name, monomial, match, in_rules", [
+    @pytest.mark.parametrize("name, monomial, match, in_table", [
         ("r_4", "t1*t2*t3", "not t-linear", True),
         ("r_4", "t2*t3", "5 of the 6 t-pairs", True),
         ("r_0", "t1^2", r"two relations rewrite the t-pair \(0, 0\)", True),
         ("r_0", "t1*t2*t3", "not t-linear: t2\\*t3", False),
     ])
     def test_rules_outside_the_termination_argument_stop_the_scan(
-            self, monkeypatch, capsys, name, monomial, match, in_rules):
-        # normal_form does not terminate on a t-cubic right side
+            self, monkeypatch, capsys, name, monomial, match, in_table):
+        # a right side or an entry outside the t-linear values has no
+        # table coordinates: the scan stops before its first product
         orig = cli.build_presentation
         monkeypatch.setattr(cli, "build_presentation",
                             lambda i0=0, depth=0: perturbed(orig(i0, depth), name, monomial))
         steps = []
-        monkeypatch.setattr(quotient, "rewrite", lambda f, rules: steps.append(f))
         monkeypatch.setattr(quotient.TValue, "__mul__", lambda x, y: steps.append(x))
         self.stops(capsys, match)
         assert steps == []
         pres = cli.build_presentation(0)
-        for flat in (False, True):
-            if in_rules:
-                with pytest.raises(ArithmeticError, match=match):
-                    t_rewrite_rules(pres, flat)
-            else:
-                assert len(t_rewrite_rules(pres, flat)) == 6
+        if in_table:
+            with pytest.raises(ArithmeticError, match=match):
+                TTable(pres)
+        else:
+            assert len(TTable(pres).consts) == 6
 
     def test_divisor_with_content_stops_the_scan(self, monkeypatch, capsys):
         orig = surfaces._h_polynomial

@@ -16,7 +16,7 @@ from delpezzo.algebra import (
     exact_divide,
     parse,
 )
-from delpezzo.quotient import BaseRingS, TTable, jacobian_minors, t_rewrite_rules
+from delpezzo.quotient import BaseRingS, TTable, jacobian, jacobian_minors, normal_form
 from delpezzo.surfaces import _h_polynomial, build_presentation, cusp_curve, others
 from randpoly import (
     make_table,
@@ -196,7 +196,7 @@ def test_u_block_minors_are_h_multiples(chart):
 def t_table_setup(pres):
     """The sympy symbols by name, the t symbols, and the sympy expression
     of each t-table entry c_ij0 + sum_k c_ijk t_k by t-pair."""
-    t_table = TTable(pres, t_rewrite_rules(pres, flat=True))
+    t_table = TTable(pres)
     sym = {n: sp.Symbol(n) for n in pres.table.names}
     syms = list(sym.values())
     t_syms = [sym[n] for n in pres.t_names]
@@ -257,7 +257,113 @@ def test_t_table_of_a_perturbed_relation_is_not_associative():
     bad = replace(pres, relations=relations)
     triples = sympy_associators(bad)
     assert len(triples) == 12
-    assert triples == TTable(bad, t_rewrite_rules(bad, flat=True)).nonassociative()
+    assert triples == TTable(bad).nonassociative()
+
+
+class RelationReduction:
+    """An independent t-reduction in sympy's sparse polynomials over GF(2):
+    each t_i t_j right side is read from the presentation's relations, not
+    from ``TTable``, and every monomial of t-degree >= 2 has its first two
+    t-factors replaced by one until the t-degree is at most 1."""
+
+    def __init__(self, pres):
+        table = pres.table
+        names = list(pres.t_names) + [f"a{i}" for i in range(4)] + list(pres.u_names)
+        self.idx = [table.index(n) for n in names]
+        self.ring, *_ = sp.ring(names, sp.GF(2))
+        self.rhs = {}
+        for rel in pres.relations.values():
+            poly = self.poly(rel.as_sparse())
+            quads = [m for m in poly.monoms() if sum(m[:3]) == 2]
+            if quads:
+                (monom,) = quads
+                assert not any(monom[3:]) and poly.coeff(self.ring.from_dict({monom: 1})) == 1
+                pair = tuple(k for k in range(3) for _ in range(monom[k]))
+                self.rhs[pair] = poly - self.ring.from_dict({monom: 1})
+        assert len(self.rhs) == 6
+
+    def poly(self, f):
+        """A flat value in the a's, u's and t's as a sympy ring element."""
+        assert all(sum(exp[i] for i in self.idx) == sum(exp) for exp in f.terms)
+        return self.ring.from_dict({tuple(exp[i] for i in self.idx): c
+                                    for exp, c in f.terms.items()})
+
+    def coordinates(self, f) -> list:
+        """The coefficients of 1, t_a, t_b, t_c of the reduced value."""
+        p = self.poly(f)
+        while True:
+            heavy = {m: c for m, c in p.terms() if sum(m[:3]) >= 2}
+            if not heavy:
+                break
+            p = p - self.ring.from_dict(heavy)
+            for monom, c in heavy.items():
+                pair = tuple(k for k in range(3) for _ in range(monom[k]))[:2]
+                rest = list(monom)
+                for k in pair:
+                    rest[k] -= 1
+                p = p + self.ring.from_dict({tuple(rest): c}) * self.rhs[pair]
+        coords = [{} for _ in range(4)]
+        for monom, c in p.terms():
+            slot = next((k + 1 for k in range(3) if monom[k]), 0)
+            coords[slot][(0, 0, 0) + monom[3:]] = c
+        return [self.ring.from_dict(c) if c else self.ring.zero for c in coords]
+
+
+def t_degree(f, pres) -> int:
+    idx = [pres.table.index(n) for n in pres.t_names]
+    return max((sum(exp[i] for i in idx) for exp in f.terms), default=0)
+
+
+def table_and_raw_minors(pres, size, rows, cols):
+    """The minors of one Jacobian block on the table values of its entries,
+    and the raw flat minors."""
+    t_table = TTable(pres)
+    rels = [rel.as_sparse() for rel in pres.relations.values()]
+    jac = [[jac_row[c] for c in cols] for jac_row in jacobian(rels, pres.generators)]
+    jac = [jac[r] for r in rows]
+    values = [[normal_form(e, t_table) for e in row] for row in jac]
+    block = [rels[r] for r in rows]
+    names = [pres.generators[c] for c in cols]
+    return (jacobian_minors(block, names, size, values),
+            jacobian_minors(block, names, size, jac))
+
+
+def assert_same_coordinates(reference, minors, raw, picks):
+    for k in picks:
+        (index, value), (raw_index, minor) = minors[k], raw[k]
+        assert index == raw_index
+        assert [reference.poly(c) for c in value.coords] == reference.coordinates(minor)
+
+
+@pytest.mark.parametrize("chart", (0, 1, 2, 3))
+def test_table_minors_match_a_reduction_by_the_relations(chart):
+    pres = build_presentation(chart)
+    reference = RelationReduction(pres)
+    minors, raw = table_and_raw_minors(pres, 2, range(4, 7), range(3, 6))
+    assert len(minors) == 9
+    assert_same_coordinates(reference, minors, raw, range(9))
+    minors, raw = table_and_raw_minors(pres, 4, range(7), range(6))
+    by_degree: dict = {}
+    for k, (_, minor) in enumerate(raw):
+        if not minor.is_zero():
+            by_degree.setdefault(t_degree(minor, pres), []).append(k)
+    if chart == 0:
+        assert (len(by_degree[2]), len(by_degree[3])) == (225, 48)
+    rng = random.Random(1401 + chart)
+    picks = rng.sample(by_degree[2], 20) + rng.sample(by_degree[3], 10)
+    assert_same_coordinates(reference, minors, raw, picks)
+
+
+def test_perturbed_t_block_minors_match_a_reduction_by_the_relations():
+    pres = build_presentation(0)
+    relations = dict(pres.relations)
+    relations["r_4"] = relations["r_4"] + parse(pres.table, "u1*t1")
+    bad = replace(pres, relations=relations)
+    minors, raw = table_and_raw_minors(bad, 2, range(4, 7), range(3, 6))
+    # a t-block minor has t-degree 2, so its reduction is one step and
+    # needs no associativity
+    assert TTable(bad).nonassociative()
+    assert_same_coordinates(RelationReduction(bad), minors, raw, range(9))
 
 
 def cramer_setup():

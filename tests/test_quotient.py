@@ -2,22 +2,23 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
-from delpezzo.algebra import Derivation, GeomPoly, ParamRational, parse
+from delpezzo.algebra import Derivation, GeomPoly, ParamRational, SparsePoly, parse
 from delpezzo.quotient import (
     BaseRingS,
     DerivationNotLinearError,
     ModuleVector,
     Presentation,
+    TTable,
     basis_monomial,
     derivation_matrix,
     jacobian_minors,
     kernel_basis,
     matrix_apply,
     normal_form,
-    t_coordinates,
     to_module_vector,
     verify_presentation,
 )
@@ -27,6 +28,7 @@ from delpezzo.surfaces import (
     build_presentation,
     chart_table,
 )
+from test_stages import embedded, t_poly
 
 
 @pytest.fixture(scope="module")
@@ -215,53 +217,55 @@ class TestPresentation:
 
 
 class TestNormalForm:
+    def t_value(self, pres, text):
+        return normal_form(parse(pres.table, text).as_sparse(), TTable(pres))
+
     def test_square_rewrites(self, setup):
         _, _, _, pres = setup
-        tbl = pres.table
-        t1 = GeomPoly.var(tbl, "t1")
-        assert normal_form(t1 * t1, pres) == \
-            parse(tbl, "u2*u3 + u2*u3^2 + u2^2*u3")
+        t1 = self.t_value(pres, "t1")
+        assert (t1 * t1).coords == self.t_value(pres, "u2*u3 + u2*u3^2 + u2^2*u3").coords
 
     def test_mixed_product_rewrites(self, setup):
         _, _, _, pres = setup
-        tbl = pres.table
-        f = GeomPoly.var(tbl, "t2") * GeomPoly.var(tbl, "t3")
-        expected = parse(
-            tbl, "u1*u2*u3 + u1*t1 + u1^2*t1 + u1*u2*t2 + u1*u3*t3")
-        assert normal_form(f, pres) == expected
+        product = self.t_value(pres, "t2") * self.t_value(pres, "t3")
+        expected = self.t_value(pres, "u1*u2*u3 + u1*t1 + u1^2*t1 + u1*u2*t2 + u1*u3*t3")
+        assert product.coords == expected.coords
 
     def test_idempotent_and_consistent_with_embedding(self, setup):
         _, _, ring, pres = setup
         tbl = pres.table
+        t_table = TTable(pres)
         rng = random.Random(17)
         for _ in range(6):
             f = GeomPoly.one(tbl)
+            nf = self.t_value(pres, "1")
             for _ in range(rng.randint(1, 3)):
                 name = rng.choice(["u1", "u2", "u3", "t1", "t2", "t3"])
                 f = f * (GeomPoly.var(tbl, name) + GeomPoly.one(tbl))
-            nf = normal_form(f, pres)
-            assert normal_form(nf, pres) == nf
-            lhs = to_module_vector(nf.substituted(pres.embedding), ring)
-            rhs = to_module_vector(f.substituted(pres.embedding), ring)
-            assert lhs == rhs
+                nf = nf * self.t_value(pres, f"{name} + 1")
+            assert normal_form(t_poly(pres, nf), t_table).coords == nf.coords
+            assert embedded(t_poly(pres, nf), pres, ring) == embedded(f, pres, ring)
 
     def test_products_agree_through_the_embedding(self, setup):
         _, _, ring, pres = setup
         tbl = pres.table
         rng = random.Random(19)
         for _ in range(4):
-            f = parse(tbl, f"t1*t{rng.randint(2, 3)} + u{rng.randint(1, 3)}")
-            g = parse(tbl, f"t{rng.randint(1, 3)}^2 + t2")
-            direct = normal_form(f * g, pres)
-            stepwise = normal_form(normal_form(f, pres) * normal_form(g, pres), pres)
-            assert direct == stepwise
-
+            f = parse(tbl, f"t1 + t{rng.randint(2, 3)} + u{rng.randint(1, 3)}")
+            g = parse(tbl, f"t{rng.randint(1, 3)} + t2 + u1*u2")
+            x, y = (self.t_value(pres, str(v)) for v in (f, g))
+            assert embedded(t_poly(pres, x * y), pres, ring) == embedded(f * g, pres, ring)
+            assert embedded(t_poly(pres, (x * y) * x), pres, ring) == \
+                embedded(f * g * f, pres, ring)
 
     def test_missing_rule_is_an_error(self, setup):
         _, _, _, pres = setup
-        t1 = GeomPoly.var(pres.table, "t1")
-        with pytest.raises(ValueError):
-            normal_form(t1 * t1, pres, rules=[])
+        relations = {n: r for n, r in pres.relations.items() if n != "r_4"}
+        with pytest.raises(ArithmeticError, match="the relations rewrite 5 of the 6 t-pairs"):
+            TTable(replace(pres, relations=relations))
+        t1 = SparsePoly.var(pres.table, "t1")
+        with pytest.raises(ArithmeticError, match="not t-linear"):
+            normal_form(t1 * t1, TTable(pres))
 
 
 class TestJacobianMinors:
@@ -279,12 +283,15 @@ class TestJacobianMinors:
         _, _, ring, pres = setup
         rels = list(pres.relations.values())
         minors = jacobian_minors(rels[4:], ["t1", "t2", "t3"], 2)
-        assert len(minors) == 9
+        t_table = TTable(pres)
+        entries = [[normal_form(rel.as_sparse().partial(t), t_table) for t in pres.t_names]
+                   for rel in rels[4:]]
+        values = jacobian_minors(rels[4:], pres.t_names, 2, entries)
+        assert len(minors) == len(values) == 9
         relation_polys = list(pres.relations.values())[1:]
-        for _, minor in minors:
+        for (_, minor), (_, value) in zip(minors, values, strict=True):
             assert any(minor == rel for rel in relation_polys)
-            coords = t_coordinates(minor, pres)
-            assert all(ring.is_zero(c) for c in coords)
+            assert all(ring.is_zero(c.as_geom()) for c in value.coords)
 
     def test_size_validation(self, setup):
         _, _, _, pres = setup

@@ -1,11 +1,12 @@
 """Each chart stage runs once: one kernel per presentation, one t-table per
-singular scan, one normal form per t-block minor, one division by h per
+singular scan, one normal form per Jacobian entry, one division by h per
 distinct nonzero minor coordinate and one variable table per (chart,
 depth).  Also the negative controls of
 the presentation, singular-locus, cusp, fibre-injectivity and reducedness
 witness checks, and a check that every name the benchmark's tracer wraps
 still exists."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -15,8 +16,8 @@ import pytest
 
 import delpezzo
 from delpezzo import algebra, cli, quotient, surfaces
-from delpezzo.algebra import Derivation, ParamRational, VarTable, parse
-from delpezzo.quotient import BaseRingS, Presentation, verify_presentation
+from delpezzo.algebra import Derivation, ParamRational, SparsePoly, VarTable, parse
+from delpezzo.quotient import BaseRingS, Presentation, to_module_vector, verify_presentation
 from delpezzo.surfaces import (
     QuadricChart,
     build_presentation,
@@ -55,22 +56,21 @@ class TestStageCounts:
         assert (len(matrices), len(kernels)) == (1, 1)
 
     def test_singular_locus_normal_forms_each_minor_once(self, monkeypatch):
-        split = []
-        orig = quotient.TTable.value
+        orig, split = quotient.normal_form, []
 
-        def value(self, f):
+        def counted(f, t_table):
             split.append(f)
-            return orig(self, f)
-        monkeypatch.setattr(quotient.TTable, "value", value)
-        calls = count_calls(monkeypatch, "normal_form")
+            return orig(f, t_table)
+        monkeypatch.setattr(surfaces, "normal_form", counted)
         tables = count_calls(monkeypatch, "TTable")
-        checks = singular_locus(build_presentation(0))
+        pres = build_presentation(0)
+        checks = singular_locus(pres)
         assert all(c.passed for c in checks)
-        # the 9 t-block 2x2 minors; the 525 4x4 minors come from one t-table,
-        # into which each of the 42 Jacobian entries is split once
-        assert len(calls) == 9
+        # the 525 4x4 and 9 t-block 2x2 minors come from one t-table, into
+        # which each of the 42 Jacobian entries is taken once; no raw minor
+        rels = [rel.as_sparse() for rel in pres.relations.values()]
         assert len(tables) == 1
-        assert len(split) == 7 * 6
+        assert split == [e for row in quotient.jacobian(rels, pres.generators) for e in row]
 
     def test_singular_locus_takes_each_jacobian_entry_once(self, monkeypatch):
         orig = algebra._TermMap.partial
@@ -88,7 +88,7 @@ class TestStageCounts:
     @pytest.mark.parametrize("chart", CHARTS)
     def test_singular_locus_divides_each_distinct_coordinate_once(self, monkeypatch, chart):
         pres = build_presentation(chart)
-        minors = table_minors(pres)[3]
+        minors = table_minors(pres)[2]
         distinct = {tuple(sorted(c.terms.items()))
                     for _, minor in minors for c in minor.coords if not c.is_zero()}
         orig, divided = surfaces.exact_divide, []
@@ -105,13 +105,17 @@ class TestStageCounts:
     def test_flat_products_lift_once_and_rescan_no_content(self, monkeypatch):
         fol = surfaces.FoliationSpec.build("deg1", QuadricChart.build(0))
         pres = build_presentation(0)
-        lifted, rescans, outside, depth = [], [], [], [0]
-        lift, product, content = (algebra._lifted, algebra._laurent_product,
-                                  algebra._content_key)
+        lifted, scanned, rescans, outside, depth = [], [], [], [], [0]
+        lift, scan, product, content = (algebra._lifted, algebra._monomial_dens,
+                                        algebra._laurent_product, algebra._content_key)
 
         def counted_lift(table, terms, split):
             lifted.append(terms)  # kept alive, so no id is reused
             return lift(table, terms, split)
+
+        def counted_scan(terms):
+            scanned.append(terms)
+            return scan(terms)
 
         def counted_product(a, b):
             depth[0] += 1
@@ -124,12 +128,15 @@ class TestStageCounts:
             (rescans if depth[0] else outside).append(keys)
             return content(table, keys)
         monkeypatch.setattr(algebra, "_lifted", counted_lift)
+        monkeypatch.setattr(algebra, "_monomial_dens", counted_scan)
         monkeypatch.setattr(algebra, "_laurent_product", counted_product)
         monkeypatch.setattr(algebra, "_content_key", counted_content)
         checks = verify_presentation(pres, BaseRingS(pres.table, 0), fol.theta)
         assert checks and all(c.passed for c in checks)
         # each GeomPoly owns its term map: none is lifted twice
         assert lifted and len({id(t) for t in lifted}) == len(lifted)
+        # a kept lift proves its denominators monomial: no term map is rescanned
+        assert scanned and len({id(t) for t in scanned}) == len(scanned)
         # _content_key is live on the other routes, never inside a flat product
         assert outside and not rescans
 
@@ -167,14 +174,29 @@ class TestTableInterning:
 
 
 def table_minors(pres):
-    """The t-table of a presentation, its flat rules and relations, and the
-    4x4 minors taken on the table values of the Jacobian entries."""
-    rules = quotient.t_rewrite_rules(pres, flat=True)
-    t_table = quotient.TTable(pres, rules)
+    """The t-table of a presentation, its flat relations, and the 4x4
+    minors taken on the table values of the Jacobian entries."""
+    t_table = quotient.TTable(pres)
     rels = [rel.as_sparse() for rel in pres.relations.values()]
-    values = [[t_table.value(e) for e in row]
+    values = [[quotient.normal_form(e, t_table) for e in row]
               for row in quotient.jacobian(rels, pres.generators)]
-    return t_table, rules, rels, quotient.jacobian_minors(rels, pres.generators, 4, values)
+    return t_table, rels, quotient.jacobian_minors(rels, pres.generators, 4, values)
+
+
+def t_poly(pres, value):
+    """The flat polynomial c_0 + c_1 t_a + c_2 t_b + c_3 t_c of a TValue."""
+    out = value.coords[0]
+    for c, name in zip(value.coords[1:], pres.t_names):
+        out = out + c * SparsePoly.var(pres.table, name)
+    return out
+
+
+def embedded(f, pres, ring):
+    """The image in M, through the embedding, of a ``GeomPoly`` or flat
+    value of the quotient ring."""
+    if isinstance(f, SparsePoly):
+        f = f.as_geom()
+    return to_module_vector(f.substituted(pres.embedding), ring)
 
 
 def perturbed(pres: Presentation, name: str, monomial: str) -> Presentation:
@@ -216,7 +238,17 @@ class TestNegativeControls:
         monkeypatch.setattr(surfaces, "build_presentation",
                             lambda i0=0, depth=0: perturbed(orig(i0, depth), "r_4", "u1*t1"))
         _, checks = surfaces.cusp_curve()
-        assert [c.name for c in checks if not c.passed] == ["curve_relation_reduces[r_4]"]
+        failed = {c.name: c.witness for c in checks if not c.passed}
+        assert list(failed) == ["curve_relation_reduces[r_4]"]
+        # the image of r_4 + u1*t1 on the curve, which s^2 + u (c11 + c13 u^2)
+        # does not divide; its terms are in u1^3, u1^2, u1*s, s^2 and u1, and
+        # the 3,880 characters are pinned by their digest
+        witness = failed["curve_relation_reduces[r_4]"]
+        assert witness.startswith("image=((a1^16*a2^48 + a1^16*a2^32*a3^16 + ")
+        assert "*u1^3 + ((a0^4*a1^8*a2^60 + " in witness and ")*u1^2 + u1*s + ((" in witness
+        assert witness.endswith("/(a2^12*a3^4 + a2^4*a3^12))*u1")
+        assert (len(witness), hashlib.sha256(witness.encode()).hexdigest()) == (
+            3880, "544f16ae24b333591700aa34624baa697e01ba0e06cc17c947a6b2daa83edeaf")
 
     def test_vanishing_parameter_puts_a_point_on_the_quadric(self, a1_vanishes):
         checks = surfaces.check_fibre_injectivity()
