@@ -20,10 +20,11 @@ The value model has two term maps and one fraction arithmetic:
   only.  With polynomial coefficients it is a ``SparsePoly`` on the same
   table (``as_sparse``), the fraction-free form in GF(p)[a][x], where
   ``pseudo_substitute`` eliminates a variable by pseudo-division; both
-  types share ``partial`` and ``exact_divide``.  A product of two
-  ``GeomPoly`` values takes one of two routes.  When every
-  coefficient's denominator is a monomial, each factor is lifted to one
-  integer term map (denominators cleared by their lcm, geometric keys
+  types share ``partial`` and ``exact_divide``.  A product by one is the
+  other factor, already in the normal form a product would rebuild.  Any
+  other product of two ``GeomPoly`` values takes one of two routes.  When
+  every coefficient's denominator is a monomial, each factor is lifted to
+  one integer term map (denominators cleared by their lcm, geometric keys
   above the parameter keys) and the two maps are multiplied once; else
   each pair of terms costs one ``ParamRational`` product and sum.  Both
   give the same representation: over a monomial denominator the normal
@@ -466,11 +467,13 @@ class SparsePoly(_TermMap):
         shift = table._deg_shift
         _check_degree((max(a) >> shift) + (max(b) >> shift))
         p = table.p
-        if len(a) < len(b):
+        if len(a) < len(b) or a == {0: 1}:
             a, b = b, a
         if len(b) == 1:
             # a monomial factor: keys stay distinct, residues stay nonzero
             ((k2, c2),) = b.items()
+            if k2 == 0 and c2 == 1:
+                return self if a is self._t else other
             return SparsePoly._raw(table, {k1 + k2: c1 * c2 % p for k1, c1 in a.items()})
         out = {}
         get = out.get
@@ -632,7 +635,7 @@ class RingFraction:
                           self.den * other.den)
 
     def __neg__(self):
-        return self._make(-self.num, self.den)
+        return self if self.table.p == 2 else self._make(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -775,7 +778,10 @@ class GeomPoly(_TermMap):
     and ``den`` maps, the unique normal form of a Laurent polynomial.  A
     value's lift is kept in the lazily filled ``_lift`` slot: only ``_raw``
     and the constructors assign ``_t`` and no code mutates one, and two
-    threads filling the slot at once store equal lifts.
+    threads filling the slot at once store equal lifts.  A product by one
+    (stored as 1/1; ``is_one`` also holds for P/P, which a product keeps)
+    is the other factor, lift included: coefficients are stored in normal
+    form and one sits on key 0, so a route would rebuild the same maps.
     """
 
     __slots__ = ("_lift",)
@@ -795,7 +801,7 @@ class GeomPoly(_TermMap):
 
     @classmethod
     def one(cls, table: VarTable) -> GeomPoly:
-        return cls.const(table, 1)
+        return cls._raw(table, {0: _laurent_coefficient(table, {0: 1}, 0, [])})
 
     @classmethod
     def const(cls, table: VarTable, value) -> GeomPoly:
@@ -851,6 +857,10 @@ class GeomPoly(_TermMap):
         a, b = self._t, other._t
         if not a or not b:
             return GeomPoly._raw(table, {})
+        if _is_unit(a):
+            return other
+        if _is_unit(b):
+            return self
         shift = table._deg_shift
         _check_degree((max(a) >> shift) + (max(b) >> shift))
         out = None
@@ -968,6 +978,10 @@ class GeomPoly(_TermMap):
 
     def __repr__(self):
         return f"GeomPoly({self})"
+
+
+def _is_unit(terms: dict) -> bool:
+    return len(terms) == 1 and 0 in terms and terms[0].num._t == {0: 1} == terms[0].den._t
 
 
 def _monomial_dens(terms: dict) -> bool:

@@ -221,6 +221,11 @@ def _rref(rows, width: int):
 
     Pivots are the first nonzero entries in column order; row operations
     act on the full row so trailing augmented columns stay consistent.
+    A pivot column is written as e_r (1/1, and a shared 0/1 for a - a*1)
+    and never read again: ``kernel_basis`` reads free columns,
+    ``_solve_span`` augmented ones, and a later pivot row is zero in
+    earlier columns.  Other entries are computed as before; zeros are
+    kept, as 0 * p^-1 and a - factor * 0 give the same values.
     """
     nrows = len(rows)
     pivots = []
@@ -234,15 +239,16 @@ def _rref(rows, width: int):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][col].inverse()
-        # zero entries are kept as they are: 0 * inv and a - factor * 0
-        # would give the same values, each through one more den * den product
-        rows[r] = [e if e.is_zero() else e * inv for e in rows[r]]
+        row, table = rows[r], rows[r][col].table
+        inv = row[col].inverse()
+        tail = [e if e.is_zero() else e * inv for e in row[col + 1:]]
+        rows[r] = row[:col] + [SFraction(GeomPoly.one(table))] + tail
+        zero = SFraction(GeomPoly.zero(table))
         for i in range(nrows):
             if i != r and not rows[i][col].is_zero():
-                factor = rows[i][col]
-                rows[i] = [a if b.is_zero() else a - factor * b
-                           for a, b in zip(rows[i], rows[r])]
+                other, factor = rows[i], rows[i][col]
+                rows[i] = other[:col] + [zero] + [a if b.is_zero() else a - factor * b
+                                                  for a, b in zip(other[col + 1:], tail)]
         pivots.append(col)
         r += 1
         if r == nrows:

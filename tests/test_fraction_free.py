@@ -5,7 +5,8 @@ minors and products against their images in M, and the guards that stop the scan
 with ArithmeticError (exit 3) instead of reporting a FAIL.  The
 ``GeomPoly`` product: the flat route over monomial denominators gives the
 nested route's exact representation, falls back on other denominators
-and past the degree limit, and is the route the kernel layer takes."""
+and past the degree limit, and is the route the kernel layer takes; a
+product by one is the other factor, as both routes would build it."""
 
 import random
 import signal
@@ -20,6 +21,7 @@ from delpezzo.algebra import (
     GeomPoly,
     ParamRational,
     SparsePoly,
+    TableMismatchError,
     exact_divide,
     parse,
     pseudo_substitute,
@@ -37,6 +39,7 @@ from delpezzo.surfaces import build_presentation, others, singular_locus
 from randpoly import (
     make_table,
     random_laurent_geom,
+    random_nonzero_geom,
     random_nonzero_sparse,
     random_sparse,
     random_t_linear,
@@ -491,6 +494,97 @@ class TestLaurentProduct:
             assert (fused.num._t, fused.den._t) == (num._t, den._t)
             stripped += max(den._t) != den_key
         assert stripped > 10
+
+
+def ordered(poly):
+    """``representation`` with its key order."""
+    return list(representation(poly).items())
+
+
+def sparse_product(f, g):
+    """The general term-by-term product of two SparsePoly values."""
+    out = {}
+    for k1, c1 in f._t.items():
+        for k2, c2 in g._t.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return {k: r for k, c in out.items() if (r := c % f.table.p)}
+
+
+class TestProductsByOne:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_product_by_one_is_what_the_routes_build(self, p):
+        rng = random.Random(1051 + p)
+        table = make_table(p)
+        one = GeomPoly.one(table)
+        for make in (random_laurent_geom, random_nonzero_geom):
+            for _ in range(30):
+                f = make(rng, table)
+                routes = [nested(one, f), nested(f, one)]
+                if make is random_laurent_geom:
+                    routes += [GeomPoly._raw(table, algebra._laurent_product(one, f)),
+                               GeomPoly._raw(table, algebra._laurent_product(f, one))]
+                assert one * f is f and (f * one is f or f.is_one())
+                assert all(ordered(route) == ordered(f) for route in routes)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_other_constants_are_multiplied(self, p):
+        rng = random.Random(1061 + p)
+        table = make_table(p)
+        a0, a1 = SparsePoly.var(table, "a0"), SparsePoly.var(table, "a1")
+        # one stored as (a0 + a1)/(a0 + a1): a product keeps a0 + a1 in
+        # every coefficient, so it is not the other factor
+        unit = GeomPoly.const(table, ParamRational(a0 + a1, a0 + a1))
+        constants = [unit, GeomPoly.const(table, ParamRational(a0)),
+                     GeomPoly.const(table, ParamRational(SparsePoly.const(table, 1), a1))]
+        constants += [GeomPoly.const(table, 2)] if p == 3 else []
+        for c in constants:
+            for _ in range(10):
+                f = random_laurent_geom(rng, table)
+                assert ordered(c * f) == ordered(nested(c, f))
+                assert ordered(f * c) == ordered(nested(f, c))
+        assert unit.is_one() and ordered(unit * f) != ordered(f)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_zero_factors_give_zero(self, p):
+        table = make_table(p)
+        rng = random.Random(1071 + p)
+        for cls, x in ((GeomPoly, random_laurent_geom(rng, table)),
+                       (SparsePoly, random_nonzero_sparse(rng, table))):
+            one, zero = cls.const(table, 1), cls.zero(table)
+            for a, b in ((one, zero), (zero, one), (x, zero), (zero, x)):
+                assert (a * b).is_zero()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_is_the_constant_one(self, p):
+        table = make_table(p)
+        one, const = GeomPoly.one(table), GeomPoly.const(table, 1)
+        assert one.is_one() and ordered(one) == ordered(const)
+        assert one.to_json() == const.to_json()
+
+    def test_a_unit_on_another_table_is_refused(self):
+        this, that = make_table(2), make_table(3)
+        for cls in (GeomPoly, SparsePoly):
+            one, x = cls.const(this, 1), cls.var(that, "x1")
+            for a, b in ((one, x), (x, one)):
+                with pytest.raises(TableMismatchError):
+                    a * b
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_sparse_product_by_one_is_what_the_product_builds(self, p):
+        rng = random.Random(1081 + p)
+        table = make_table(p)
+        one = SparsePoly.const(table, 1)
+        others = [SparsePoly.var(table, "a0"), SparsePoly.var(table, "x1", 2)]
+        others += [SparsePoly.const(table, 2)] if p == 3 else []
+        for _ in range(30):
+            f = random_nonzero_sparse(rng, table)
+            assert one * f is f and (f * one is f or f.is_one())
+            assert list((one * f)._t.items()) == list((f * one)._t.items()) == list(f._t.items())
+            assert list(sparse_product(one, f).items()) == list(f._t.items())
+            assert list(sparse_product(f, one).items()) == list(f._t.items())
+            for c in others:
+                assert (c * f)._t == sparse_product(c, f)
+                assert (f * c)._t == sparse_product(f, c)
 
 
 class TestProductRoutes:

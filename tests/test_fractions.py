@@ -138,6 +138,17 @@ def test_results_are_in_normal_form(kind):
             assert tuple(map(rep, cls.normalise(result.num, result.den))) == rep(result)
 
 
+def test_negation_is_the_value_itself_only_in_characteristic_two(kind):
+    _, value, _, table = kind
+    for _ in range(TRIALS):
+        x = value(nonzero=True)
+        if table.p == 2:
+            assert -x is x
+        else:
+            assert (x + (-x)).is_zero()
+            assert -x != x and rep(-x) != rep(x)
+
+
 def test_parts_never_mix():
     table = make_table()
     rational = ParamRational(SparsePoly.var(table, "a0"))

@@ -12,6 +12,7 @@ from delpezzo.quotient import (
     DerivationNotLinearError,
     ModuleVector,
     Presentation,
+    SFraction,
     TTable,
     basis_monomial,
     derivation_matrix,
@@ -19,6 +20,7 @@ from delpezzo.quotient import (
     kernel_basis,
     matrix_apply,
     normal_form,
+    _rref,
     to_module_vector,
     verify_presentation,
 )
@@ -28,6 +30,8 @@ from delpezzo.surfaces import (
     build_presentation,
     chart_table,
 )
+from randpoly import make_table, random_laurent_geom
+from test_fraction_free import deadline
 from test_stages import embedded, t_poly
 
 
@@ -187,6 +191,98 @@ class TestKernel:
                 for j in range(3):
                     acc = acc + mat[1 + i][4 + j] * vec.coords[4 + j]
                 assert ring.eq(vec.coords[1 + i], acc)
+
+
+def reference_rref(rows, width: int):
+    """The elimination that computed the pivot columns too: the pivot as
+    p * p^-1 and the other rows' entries as a - a * 1."""
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for col in range(width):
+        pivot_row = None
+        for i in range(r, nrows):
+            if not rows[i][col].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [e if e.is_zero() else e * inv for e in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][col].is_zero():
+                factor = rows[i][col]
+                rows[i] = [a if b.is_zero() else a - factor * b
+                           for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def parts(x):
+    """An SFraction's num and den term maps, each coefficient as its maps."""
+    return tuple({k: (c.num._t, c.den._t) for k, c in g._t.items()} for g in (x.num, x.den))
+
+
+def same_elimination(rows, width: int) -> list:
+    """``_rref`` and ``reference_rref`` on copies of rows: equal pivots,
+    equal entries off the pivot columns, and each pivot column exactly e_r
+    with the (1, 1) and (0, 1) representations."""
+    new, old = [list(row) for row in rows], [list(row) for row in rows]
+    pivots = _rref(new, width)
+    assert pivots == reference_rref(old, width)
+    one = parts(SFraction(GeomPoly.one(rows[0][0].table)))[0]
+    for r, (row, ref) in enumerate(zip(new, old)):
+        for col, (x, y) in enumerate(zip(row, ref)):
+            if col in pivots:
+                assert parts(x) == ((one if pivots.index(col) == r else {}), one)
+            else:
+                assert str(x) == str(y) and parts(x) == parts(y)
+    return pivots
+
+
+def span_rows(basis, target) -> list:
+    """The system ``_solve_span`` eliminates: basis | target, by rows."""
+    return [[SFraction(v.coords[i]) for v in (*basis, *target)] for i in range(8)]
+
+
+class TestPivotColumns:
+    @pytest.mark.parametrize("chart", [0, 1, 2, 3])
+    @pytest.mark.parametrize("control", [False, True], ids=["deg1", "zero"])
+    def test_eliminations_equal_the_computed_ones(self, chart, control):
+        pres = build_presentation(chart)
+        ring = BaseRingS(pres.table, chart)
+        delta = (Derivation(pres.table, {}) if control
+                 else FoliationSpec.build("deg1", QuadricChart.build(chart)).theta)
+        mat = derivation_matrix(delta, ring)
+        kern = kernel_basis(mat, ring)
+        claimed = [to_module_vector(g, ring) for g in
+                   [GeomPoly.one(pres.table)] + [pres.embedding[t] for t in pres.t_names]]
+        ranks = [len(same_elimination([[SFraction(e) for e in row] for row in mat], 8)),
+                 len(same_elimination(span_rows(kern, claimed), len(kern))),
+                 len(same_elimination(span_rows(claimed, kern), 4))]
+        assert ranks == ([0, 8, 4] if control else [4, 4, 4])
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rank_deficient_matrices(self, p):
+        rng = random.Random(1501 + p)
+        table = make_table(p)
+        # single-term entries: fractions are never gcd-reduced, so larger
+        # ones swell past what a test can afford
+        for _ in range(3):
+            base = [[random_laurent_geom(rng, table, max_terms=1) if rng.random() < 0.6
+                     else GeomPoly.zero(table) for _ in range(7)] for _ in range(3)]
+            g, h = (random_laurent_geom(rng, table, max_terms=1) for _ in range(2))
+            rows = base + [[x * g + y for x, y in zip(base[0], base[1])],
+                           [x * h for x in base[2]]]
+            rng.shuffle(rows)
+            # wrong products make the entries swell without bound
+            with deadline(30):
+                pivots = same_elimination([[SFraction(e) for e in row] for row in rows], 7)
+            assert len(pivots) == 3
 
 
 class TestPresentation:
