@@ -209,6 +209,8 @@ class SFraction(RingFraction):
         inv = lc.inverse()
         return num.scaled(inv), den.scaled(inv)
 
+    divide = None  # no divisor rule in sums: see RingFraction
+
     # bound here as well: bench/tracer.py wraps them in this class's namespace
     __add__, __sub__, __neg__, __mul__, __truediv__, inverse, __eq__ = (
         RingFraction.__add__, RingFraction.__sub__, RingFraction.__neg__,

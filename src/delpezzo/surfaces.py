@@ -409,26 +409,6 @@ class CuspReport:
     double_line: GeomPoly
     cusp_plane: GeomPoly
 
-    def to_json(self) -> dict:
-        pnames = [f"a{i}" for i in range(4)]
-        xnames = [f"X{i}" for i in range(4)]
-        return {
-            "root_depth": self.root_depth,
-            "coefficients": {name: c.to_json()
-                             for name, c in sorted(self.coefficients.items())},
-            "curve_relation": self.curve_relation.to_json(["u1", "s"]),
-            "cusp_u": self.cusp_u.to_json(),
-            "cramer": {
-                "A": [[e.to_json(pnames) for e in row] for row in self.cramer_a],
-                "A_1": [[e.to_json(pnames) for e in row] for row in self.cramer_a1],
-                "b": [e.to_json(pnames) for e in self.cramer_b],
-                "det_A": self.det_a.to_json(pnames),
-                "det_A_1": self.det_a1.to_json(pnames),
-            },
-            "double_line": self.double_line.to_json(xnames),
-            "cusp_plane": self.cusp_plane.to_json(xnames),
-        }
-
 
 def _cubic_coefficients(poly: GeomPoly, table: VarTable, t_name: str, u_name: str):
     """Split t^2 + c0 + c1 u + c2 u^2 + c3 u^3 into its four u-coefficients."""

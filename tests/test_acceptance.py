@@ -44,6 +44,8 @@ from randpoly import (
 )
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+# one CLI call takes under a second: the bound turns a loop or swell into a failure, not a hang
+CLI_TIMEOUT_S = 120
 
 
 def report(number, name, ok):
@@ -176,8 +178,8 @@ def test_10b_deterministic_cli_output():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     cmd = [sys.executable, "-m", "delpezzo", "verify", "--suite", "all", "--json"]
-    first = subprocess.run(cmd, capture_output=True, env=env)
-    second = subprocess.run(cmd, capture_output=True, env=env)
+    first = subprocess.run(cmd, capture_output=True, env=env, timeout=CLI_TIMEOUT_S)
+    second = subprocess.run(cmd, capture_output=True, env=env, timeout=CLI_TIMEOUT_S)
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout)
     payload = json.loads(first.stdout)

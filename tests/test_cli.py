@@ -15,6 +15,8 @@ from delpezzo.reports import failures
 from delpezzo.surfaces import FoliationSpec, QuadricChart
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+# one CLI call takes under a second: the bound turns a loop or swell into a failure, not a hang
+CLI_TIMEOUT_S = 120
 CHARTS = (0, 1, 2, 3)
 
 
@@ -24,7 +26,7 @@ def run_cli(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "delpezzo", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S)
 
 
 class TestVerify:

@@ -2,7 +2,8 @@
 singular scan, one normal form per Jacobian entry, one division by h per
 distinct nonzero minor coordinate and one variable table per (chart,
 depth); no product by one and no computed pivot column in the
-presentation's elimination.  Also the negative controls of
+presentation's elimination; cusp sums over the larger denominator where
+one divides the other.  Also the negative controls of
 the presentation, singular-locus, cusp, fibre-injectivity and reducedness
 witness checks, and a check that every name the benchmark's tracer wraps
 still exists."""
@@ -45,6 +46,36 @@ def count_calls(monkeypatch, name: str) -> list:
         if vars(mod).get(name) is orig:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def traced_cusp(divisor_rule: bool):
+    """One ``cusp_curve()`` with ``ParamRational``'s divisor rule on or off:
+    its report, and counts of the sums over unequal denominators, of the
+    trial divisions that found a cofactor and of the most denominator
+    terms a built value held."""
+    add, make, divide = ParamRational.__add__, ParamRational._make.__func__, ParamRational.divide
+    counts = {"unequal": 0, "divided": 0, "den_terms": 0}
+
+    def counted_add(a, b):
+        counts["unequal"] += bool(a.num.terms and b.num.terms and a.den != b.den)
+        return add(a, b)
+
+    def counted_divide(f, g):
+        q = divide(f, g)
+        counts["divided"] += q is not None
+        return q
+
+    def counted_make(cls, num, den):
+        value = make(cls, num, den)
+        counts["den_terms"] = max(counts["den_terms"], len(value.den.terms))
+        return value
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ParamRational, "__add__", counted_add)
+        mp.setattr(ParamRational, "divide", staticmethod(counted_divide) if divisor_rule else None)
+        mp.setattr(ParamRational, "_make", classmethod(counted_make))
+        report, checks = surfaces.cusp_curve()
+    assert checks and all(c.passed for c in checks)
+    return report, counts
 
 
 class TestStageCounts:
@@ -171,6 +202,21 @@ class TestStageCounts:
         assert not any(f.is_one() for f in routed)
         assert (len(flat), len(subtractions)) == (200, 50)
 
+    def test_cusp_sums_over_the_larger_denominator(self):
+        report, counts = traced_cusp(divisor_rule=True)
+        reference, cross = traced_cusp(divisor_rule=False)
+        # the denominators are monomials times powers of a2 + a3: in 63 of
+        # the 74 sums over unequal ones the smaller divides the larger, so
+        # 11 sums cross-multiply where all 81 did, and no denominator is
+        # built with more than 24 terms where one reached 96
+        assert counts == {"unequal": 74, "divided": 63, "den_terms": 24}
+        assert cross == {"unequal": 81, "divided": 0, "den_terms": 96}
+        assert report.coefficients.keys() == reference.coefficients.keys()
+        for name, value in report.coefficients.items():
+            assert value == reference.coefficients[name], name
+        assert report.cusp_u == reference.cusp_u
+        assert report.curve_relation == reference.curve_relation
+
     def test_emit_round_trip_compares_no_distinct_tables(self, monkeypatch, tmp_path):
         distinct = []
         orig = VarTable.__eq__
@@ -273,13 +319,13 @@ class TestNegativeControls:
         assert list(failed) == ["curve_relation_reduces[r_4]"]
         # the image of r_4 + u1*t1 on the curve, which s^2 + u (c11 + c13 u^2)
         # does not divide; its terms are in u1^3, u1^2, u1*s, s^2 and u1, and
-        # the 3,880 characters are pinned by their digest
+        # the 1,824 characters are pinned by their digest
         witness = failed["curve_relation_reduces[r_4]"]
-        assert witness.startswith("image=((a1^16*a2^48 + a1^16*a2^32*a3^16 + ")
-        assert "*u1^3 + ((a0^4*a1^8*a2^60 + " in witness and ")*u1^2 + u1*s + ((" in witness
+        assert witness.startswith("image=((a1^16*a2^16 + a1^16*a3^16 + a1^8*a2^24 + ")
+        assert "*u1^3 + ((a0^4*a1^8*a2^20 + " in witness and ")*u1^2 + u1*s + ((" in witness
         assert witness.endswith("/(a2^12*a3^4 + a2^4*a3^12))*u1")
         assert (len(witness), hashlib.sha256(witness.encode()).hexdigest()) == (
-            3880, "544f16ae24b333591700aa34624baa697e01ba0e06cc17c947a6b2daa83edeaf")
+            1824, "97e7615d0865ac35df0cd9c153db307a20fb1b1d43213f1fd17c10e2c4306cba")
 
     def test_vanishing_parameter_puts_a_point_on_the_quadric(self, a1_vanishes):
         checks = surfaces.check_fibre_injectivity()

@@ -246,12 +246,6 @@ class TestCuspCurve:
         assert rel.coefficient({"u1": 1}) == report.coefficients["c_11"]
         assert rel.coefficient({"u1": 3}) == report.coefficients["c_13"]
 
-    def test_report_serialises(self, cusp):
-        report, _ = cusp
-        payload = report.to_json()
-        assert payload["root_depth"] == 3
-        assert set(payload["cramer"]) == {"A", "A_1", "b", "det_A", "det_A_1"}
-
 
 class TestReducednessWitness:
     def test_all_checks_pass(self):
