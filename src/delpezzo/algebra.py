@@ -60,6 +60,8 @@ from __future__ import annotations
 import struct
 from collections.abc import Mapping
 
+from .numerics import is_prime
+
 PARAM = "param"
 GEOM = "geom"
 
@@ -78,17 +80,6 @@ class RootDepthError(ValueError):
 
 class ZeroDenominatorError(ZeroDivisionError):
     """A ``ParamRational`` was constructed with a zero denominator."""
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class VarTable:

@@ -18,6 +18,11 @@ Output is deterministic: JSON fields are sorted alphabetically, rows keep
 a fixed order, and no timestamps enter any payload (timing goes to the
 human-readable summary only).  Relative ``--out`` paths are resolved
 against the DELPEZZO_OUT_DIR environment variable when it is set.
+
+At module level this module imports only ``numerics`` and ``reports``, so
+``verify --suite numerics`` and ``feasibility`` never load the geometry.
+The other suites, ``presentation`` and ``load_presentation`` import
+``surfaces`` (hence ``quotient`` and ``algebra``) when they run.
 """
 
 from __future__ import annotations
@@ -29,23 +34,7 @@ import sys
 import time
 
 from .numerics import feasibility_region, is_prime, numerics_suite
-from .quotient import Presentation
 from .reports import CheckResult, failures, prefixed
-from .surfaces import (
-    FOLIATION_KINDS,
-    FoliationSpec,
-    QuadricChart,
-    build_presentation,
-    chart_table,
-    check_fibre_injectivity,
-    check_ideal_preserved,
-    check_p_closure,
-    cusp_curve,
-    field_of_constants_check,
-    quotient_presentation,
-    reducedness_witness,
-    singular_locus,
-)
 
 SUITES = ("foliations", "presentation", "singular", "cusp", "numerics", "all")
 
@@ -54,29 +43,39 @@ def suite_checks(suite: str, chart: int) -> list[CheckResult]:
     """Assemble the named suite; results are sorted by check name so the
     output order never depends on evaluation order."""
     checks: list[CheckResult] = []
-    if suite in ("foliations", "all"):
-        quad = QuadricChart.build(chart)
-        checks += prefixed("foliations.", [quad.dehomogenisation_check()])
-        for kind in FOLIATION_KINDS:
-            fol = FoliationSpec.build(kind, quad)
-            checks += prefixed(f"foliations.{kind}.", check_p_closure(fol))
-            checks += prefixed(f"foliations.{kind}.", check_ideal_preserved(fol))
-            checks += prefixed(f"foliations.{kind}.", field_of_constants_check(fol))
-        checks += prefixed("foliations.", check_fibre_injectivity(quad.table))
-        checks += prefixed("witness.", reducedness_witness())
-    if suite in ("presentation", "all"):
-        fol = FoliationSpec.build("deg1", QuadricChart.build(chart))
-        _, pres_checks = quotient_presentation(fol)
-        checks += prefixed("presentation.", pres_checks)
-    if suite in ("singular", "all"):
-        checks += prefixed("singular.", singular_locus(build_presentation(chart)))
-    if suite in ("cusp", "all"):
-        # the cusp pipeline is specified on chart 0 only
-        _, cusp_checks = cusp_curve()
-        checks += prefixed("cusp.", cusp_checks)
+    if suite != "numerics":
+        checks += _geometry_checks(suite, chart)
     if suite in ("numerics", "all"):
         checks += prefixed("numerics.", numerics_suite())
     return sorted(checks, key=lambda c: c.name)
+
+
+def _geometry_checks(suite: str, chart: int) -> list[CheckResult]:
+    """The checks of the geometric stages the suite names."""
+    from . import surfaces
+    checks: list[CheckResult] = []
+    if suite in ("foliations", "all"):
+        quad = surfaces.QuadricChart.build(chart)
+        checks += prefixed("foliations.", [quad.dehomogenisation_check()])
+        for kind in surfaces.FOLIATION_KINDS:
+            fol = surfaces.FoliationSpec.build(kind, quad)
+            checks += prefixed(f"foliations.{kind}.", surfaces.check_p_closure(fol))
+            checks += prefixed(f"foliations.{kind}.", surfaces.check_ideal_preserved(fol))
+            checks += prefixed(f"foliations.{kind}.", surfaces.field_of_constants_check(fol))
+        checks += prefixed("foliations.", surfaces.check_fibre_injectivity(quad.table))
+        checks += prefixed("witness.", surfaces.reducedness_witness())
+    if suite in ("presentation", "all"):
+        fol = surfaces.FoliationSpec.build("deg1", surfaces.QuadricChart.build(chart))
+        _, pres_checks = surfaces.quotient_presentation(fol)
+        checks += prefixed("presentation.", pres_checks)
+    if suite in ("singular", "all"):
+        pres = surfaces.build_presentation(chart)
+        checks += prefixed("singular.", surfaces.singular_locus(pres))
+    if suite in ("cusp", "all"):
+        # the cusp pipeline is specified on chart 0 only
+        _, cusp_checks = surfaces.cusp_curve()
+        checks += prefixed("cusp.", cusp_checks)
+    return checks
 
 
 def _json_dump(payload) -> str:
@@ -143,8 +142,9 @@ def run_feasibility(args) -> int:
 
 
 def run_presentation(args) -> int:
-    fol = FoliationSpec.build("deg1", QuadricChart.build(args.chart))
-    pres, checks = quotient_presentation(fol)
+    from . import surfaces
+    fol = surfaces.FoliationSpec.build("deg1", surfaces.QuadricChart.build(args.chart))
+    pres, checks = surfaces.quotient_presentation(fol)
     failed = failures(checks)
     if failed:
         for c in failed:
@@ -186,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_presentation(payload: dict) -> Presentation:
+def load_presentation(payload: dict):
     """Re-parse an emitted presentation JSON onto its canonical table."""
+    from .quotient import Presentation
+    from .surfaces import chart_table
     return Presentation.from_json(payload, chart_table(payload["chart"]))
 
 

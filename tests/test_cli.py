@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from delpezzo import cli
+from delpezzo import surfaces
 from delpezzo.algebra import ZeroDenominatorError
 from delpezzo.cli import load_presentation, main, suite_checks
 from delpezzo.quotient import BaseRingS, verify_presentation
@@ -136,7 +136,7 @@ class TestInProcessEntry:
     def test_internal_arithmetic_error_exits_three(self, monkeypatch, capsys):
         def broken():
             raise ArithmeticError("c11/c13 is not a square at depth 3")
-        monkeypatch.setattr(cli, "cusp_curve", broken)
+        monkeypatch.setattr(surfaces, "cusp_curve", broken)
         assert main(["verify", "--suite", "cusp", "--json"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -149,8 +149,8 @@ class TestInProcessEntry:
                                                        tmp_path, error):
         def broken(fol):
             raise error
-        # the command's binding of surfaces.quotient_presentation
-        monkeypatch.setattr(cli, "quotient_presentation", broken)
+        # the command reads surfaces.quotient_presentation at call time
+        monkeypatch.setattr(surfaces, "quotient_presentation", broken)
         out = tmp_path / "pres.json"
         assert main(["presentation", "--chart", "0", "--out", str(out)]) == 3
         assert main(["presentation", "--chart", "0"]) == 3

@@ -305,7 +305,7 @@ class TestSoundnessGuards:
     def stops(self, capsys, match=None):
         with deadline(20):
             with pytest.raises(ArithmeticError, match=match):
-                singular_locus(cli.build_presentation(0))
+                singular_locus(surfaces.build_presentation(0))
             assert cli.main(["verify", "--suite", "singular", "--json"]) == 3
         out = capsys.readouterr()
         assert out.out == "" and "internal arithmetic error" in out.err
@@ -320,14 +320,14 @@ class TestSoundnessGuards:
             self, monkeypatch, capsys, name, monomial, match, in_table):
         # a right side or an entry outside the t-linear values has no
         # table coordinates: the scan stops before its first product
-        orig = cli.build_presentation
-        monkeypatch.setattr(cli, "build_presentation",
+        orig = surfaces.build_presentation
+        monkeypatch.setattr(surfaces, "build_presentation",
                             lambda i0=0, depth=0: perturbed(orig(i0, depth), name, monomial))
         steps = []
         monkeypatch.setattr(quotient.TValue, "__mul__", lambda x, y: steps.append(x))
         self.stops(capsys, match)
         assert steps == []
-        pres = cli.build_presentation(0)
+        pres = surfaces.build_presentation(0)
         if in_table:
             with pytest.raises(ArithmeticError, match=match):
                 TTable(pres)
@@ -343,7 +343,7 @@ class TestSoundnessGuards:
         self.stops(capsys)
 
     def test_rational_relation_coefficient_stops_the_scan(self, monkeypatch, capsys):
-        orig = cli.build_presentation
+        orig = surfaces.build_presentation
 
         def build(i0=0, depth=0):
             pres = orig(i0, depth)
@@ -351,7 +351,7 @@ class TestSoundnessGuards:
             odd = GeomPoly.monomial(table, {"u1": 1, "t1": 1}, ParamRational(
                 SparsePoly.var(table, "a0"), SparsePoly.var(table, "a1")))
             return replace(pres, relations=dict(pres.relations, r_4=pres.relations["r_4"] + odd))
-        monkeypatch.setattr(cli, "build_presentation", build)
+        monkeypatch.setattr(surfaces, "build_presentation", build)
         self.stops(capsys)
 
 

@@ -16,7 +16,6 @@ import runpy
 
 import pytest
 
-import delpezzo
 from delpezzo import algebra, cli, quotient, surfaces
 from delpezzo.algebra import Derivation, ParamRational, SparsePoly, VarTable, parse
 from delpezzo.quotient import BaseRingS, Presentation, to_module_vector, verify_presentation
@@ -28,7 +27,7 @@ from delpezzo.surfaces import (
 )
 
 CHARTS = (0, 1, 2, 3)
-MODULES = (delpezzo, algebra, quotient, surfaces, cli)
+MODULES = (algebra, quotient, surfaces, cli)
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "bench", "tracer.py")
 
