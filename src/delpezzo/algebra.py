@@ -1,37 +1,38 @@
-"""Exact sparse polynomial and rational-function arithmetic over GF(p).
+"""Exact sparse polynomial and rational-function arithmetic over GF(2),
+the characteristic of the quadric quotients this package verifies.
 
 The value model has two term maps and one fraction arithmetic:
 
-* ``SparsePoly``: a sparse polynomial over GF(p) in the variables of one
-  ``VarTable``, which also stores p, kept as a canonical map from packed
-  monomial keys to nonzero residues.  Dict equality therefore decides
-  polynomial equality.
+* ``SparsePoly``: a sparse polynomial over GF(2) in the variables of one
+  ``VarTable``, kept as a canonical map from packed monomial keys to the
+  coefficient 1, so a sum is the symmetric difference of two key sets and
+  dict equality decides polynomial equality.
 * ``RingFraction``: num/den over an integral domain, one implementation
   of the field operations, with equality by cross multiplication; a
   subclass supplies only its normal form and, optionally, an exact division.
   ``ParamRational``, a quotient of parameter-only sparse polynomials,
-  strips a common monomial factor and makes the denominator monic (no
-  multivariate gcd is ever computed, but a sum is taken over the larger
-  denominator when the smaller divides it); its constructor and
-  ``from_json`` check that both parts are parameter-only, which ring
-  operations cannot break.  The other subclass is ``quotient.SFraction``.
+  strips a common monomial factor (no multivariate gcd is ever computed,
+  but a sum is taken over the larger denominator when the smaller divides
+  it); its constructor and ``from_json`` check that both parts are
+  parameter-only, which ring operations cannot break.  The other subclass
+  is ``quotient.SFraction``.
 * ``GeomPoly``: a polynomial in the geometric variables whose coefficients
   are ``ParamRational`` values, on the same packed keys with every
   parameter field zero.  Its ``substituted`` binds geometric variables
   only.  With polynomial coefficients it is a ``SparsePoly`` on the same
-  table (``as_sparse``), the fraction-free form in GF(p)[a][x], where
+  table (``as_sparse``), the fraction-free form in GF(2)[a][x], where
   ``pseudo_substitute`` eliminates a variable by pseudo-division; both
   types share ``partial`` and ``exact_divide``.  A product by one is the
   other factor, already in the normal form a product would rebuild.  Any
   other product of two ``GeomPoly`` values takes one of two routes.  When
   every coefficient's denominator is a monomial, each factor is lifted to
-  one integer term map (denominators cleared by their lcm, geometric keys
+  one flat term map (denominators cleared by their lcm, geometric keys
   above the parameter keys) and the two maps are multiplied once; else
   each pair of terms costs one ``ParamRational`` product and sum.  Both
   give the same representation: over a monomial denominator the normal
   form is the unique one of a Laurent polynomial.  A value is lifted at
   most once, as term maps never change, and a product coefficient over a
-  monic monomial is normalised by stripping the common monomial alone.
+  monomial is normalised by stripping the common monomial alone.
 
 Both polynomial types share one monomial layout, known only to this
 module.  A key is one int: a ``FIELD_BITS``-bit field per variable (the
@@ -39,7 +40,7 @@ table's first variable most significant) with the total degree in the
 field above them, so integer order is the graded lexicographic order that
 leading terms and trial division use, a product of monomials is a sum of
 keys, a quotient of monomials is a difference of keys and the Frobenius
-map multiplies keys by p (after Monagan and Pearce, "Polynomial Division
+map doubles keys (after Monagan and Pearce, "Polynomial Division
 Using Dynamic Arrays, Heaps, and Packed Exponent Vectors", CASC 2007).
 Total degrees are limited to ``MAX_DEGREE`` = 65535; a result beyond it
 raises ``OverflowError`` and never wraps.  Outside this module monomials
@@ -49,9 +50,9 @@ values are immutable and every operation is a pure function, so values may
 be shared freely between threads.
 
 Roots of parameters never use fractional exponents.  A table of root depth
-k reinterprets every parameter symbol as the p^k-th root of its depth-0
+k reinterprets every parameter symbol as the 2^k-th root of its depth-0
 value, keeping all arithmetic inside one ordinary polynomial ring; values
-never move between depths, and ``root_monomial`` names the p^j-th root of
+never move between depths, and ``root_monomial`` names the 2^j-th root of
 a depth-0 parameter as a plain monomial of the table.
 """
 
@@ -59,8 +60,6 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Mapping
-
-from .numerics import is_prime
 
 PARAM = "param"
 GEOM = "geom"
@@ -86,25 +85,25 @@ class VarTable:
     """Ordered variable context shared by all polynomials built over it.
 
     Variables are tagged ``param`` (generators of the coefficient field) or
-    ``geom`` (geometric coordinates).  The table stores the prime
-    characteristic ``p`` of GF(p).  ``root_depth`` k means each param
-    symbol denotes the p^k-th root of its depth-0 value, so the depth-0
-    parameter equals symbol**(p**k).
+    ``geom`` (geometric coordinates) over GF(2).  ``root_depth`` k means
+    each param symbol denotes the 2^k-th root of its depth-0 value, so the
+    depth-0 parameter equals symbol**(2**k).
 
     The table also holds the constants of the packed monomial layout: the
     bit offset of each variable's field, the offset of the total-degree
     field above them, the key of each single variable, the masks of the
     geometric and of the parameter fields, the lowest bit of every field
-    that a lower field borrows from when it underflows, and the struct
-    that reads a key's fields as big-endian bytes, degree first.
+    that a lower field borrows from when it underflows, the lowest bit of
+    every variable field, and the struct that reads a key's fields as
+    big-endian bytes, degree first.
     """
 
-    __slots__ = ("names", "kinds", "p", "root_depth",
+    __slots__ = ("names", "kinds", "root_depth",
                  "_index", "param_indices", "geom_indices",
                  "_shifts", "_deg_shift", "_units", "_geom_mask", "_param_mask",
-                 "_borrows", "_layout")
+                 "_borrows", "_odd", "_layout")
 
-    def __init__(self, names, kinds, p: int = 2, root_depth: int = 0):
+    def __init__(self, names, kinds, root_depth: int = 0):
         names = tuple(names)
         kinds = tuple(kinds)
         if len(kinds) != len(names):
@@ -116,11 +115,8 @@ class VarTable:
                 raise ValueError(f"unknown variable kind {k!r}")
         if root_depth < 0:
             raise ValueError("root depth must be nonnegative")
-        if not is_prime(p):
-            raise ValueError(f"characteristic must be a prime, got {p}")
         self.names = names
         self.kinds = kinds
-        self.p = p
         self.root_depth = root_depth
         self._index = {n: i for i, n in enumerate(names)}
         self.param_indices = tuple(i for i, k in enumerate(kinds) if k == PARAM)
@@ -132,6 +128,7 @@ class VarTable:
         self._geom_mask = sum(MAX_DEGREE << self._shifts[i] for i in self.geom_indices)
         self._param_mask = sum(MAX_DEGREE << self._shifts[i] for i in self.param_indices)
         self._borrows = sum(1 << s for s in self._shifts[:-1]) | (1 << self._deg_shift)
+        self._odd = sum(1 << s for s in self._shifts)
         self._layout = struct.Struct(f">{width + 1}H")
 
     def index(self, name: str) -> int:
@@ -149,13 +146,13 @@ class VarTable:
         if not isinstance(other, VarTable):
             return NotImplemented
         return (self.names == other.names and self.kinds == other.kinds
-                and self.p == other.p and self.root_depth == other.root_depth)
+                and self.root_depth == other.root_depth)
 
     def __hash__(self):
-        return hash((self.names, self.kinds, self.p, self.root_depth))
+        return hash((self.names, self.kinds, self.root_depth))
 
     def __repr__(self):
-        return f"VarTable({len(self.names)} vars, p={self.p}, depth={self.root_depth})"
+        return f"VarTable({len(self.names)} vars, depth={self.root_depth})"
 
 
 def _same_table(a, b) -> None:
@@ -294,12 +291,11 @@ class _TermMap:
                 and self._t == other._t)
 
     def __neg__(self):
-        if self.table.p == 2:
-            return self
-        return self._raw(self.table, {k: self._times(c, -1) for k, c in self._t.items()})
+        # -1 = 1 in characteristic 2
+        return self
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + other
 
     def __pow__(self, n: int):
         if n < 0:
@@ -320,18 +316,17 @@ class _TermMap:
         """Formal partial derivative; a ``GeomPoly``, whose coefficients
         hold the parameters, takes it by geometric variables only.
 
-        Lowering one exponent maps distinct monomials to distinct ones, and
-        a nonzero coefficient times a unit mod p stays nonzero, so the terms
-        never collide or cancel.
+        A term c*name^e derives to e*c*name^(e-1), which is c*name^(e-1)
+        for odd e and zero for even e.  Lowering one exponent maps distinct
+        monomials to distinct ones, so the kept terms never collide.
         """
         table = self.table
         idx = table.index(name)
         if table.kinds[idx] != GEOM and not isinstance(self, SparsePoly):
             raise ValueError(f"{name!r} is not a geometric variable")
-        p, shift, unit = table.p, table._shifts[idx], table._units[idx]
-        return self._raw(table, {key - unit: self._times(c, e)
-                                 for key, c in self._t.items()
-                                 if (e := ((key >> shift) & MAX_DEGREE) % p)})
+        shift, unit = table._shifts[idx], table._units[idx]
+        return self._raw(table, {key - unit: c for key, c in self._t.items()
+                                 if (key >> shift) & 1})
 
     def linear_parts(self, names) -> tuple:
         """The terms free of ``names``, then the cofactor of each name, for
@@ -380,37 +375,39 @@ class _TermMap:
         return " + ".join(parts)
 
 
-class SparsePoly(_TermMap):
-    """Canonical sparse polynomial over GF(p) in the table's variables.
+def _bit(c) -> int:
+    """c mod 2 for an int c; any other value, bool included, is refused."""
+    if type(c) is not int:
+        raise ValueError(f"a coefficient must be an integer, got {c!r}")
+    return c & 1
 
-    Terms map packed monomial keys to nonzero residues.  Every total
+
+class SparsePoly(_TermMap):
+    """Canonical sparse polynomial over GF(2) in the table's variables.
+
+    Terms map packed monomial keys to the coefficient 1.  Every total
     degree, and so every exponent, is at most ``MAX_DEGREE``; an operation
     whose result would exceed it raises ``OverflowError`` instead of
     wrapping.  The constructor takes a map from exponent tuples to
-    integers and validates width, signs and the degree limit; ``terms`` is
-    a read-only view keyed by exponent tuples.  A value hashes by its
-    term map, which never changes once built.
+    integers, reduces them mod 2 and validates width, signs and the degree
+    limit; ``terms`` is a read-only view keyed by exponent tuples.  A value
+    hashes by its term map, which never changes once built.
     """
 
     __slots__ = ()
 
     def __init__(self, table: VarTable, terms=()):
-        p = table.p
         clean = {}
         for exp, c in dict(terms).items():
             key = _pack(table, exp)
-            c %= p
-            if c:
-                clean[key] = c
+            if _bit(c):
+                clean[key] = 1
         self.table = table
         self._t = clean
 
     @classmethod
     def const(cls, table: VarTable, c: int) -> SparsePoly:
-        c %= table.p
-        if not c:
-            return cls._raw(table, {})
-        return cls._raw(table, {0: c})
+        return cls._raw(table, {0: 1} if _bit(c) else {})
 
     @classmethod
     def var(cls, table: VarTable, name: str, power: int = 1) -> SparsePoly:
@@ -421,34 +418,22 @@ class SparsePoly(_TermMap):
 
     @classmethod
     def monomial(cls, table: VarTable, exps: dict, coeff: int = 1) -> SparsePoly:
-        coeff %= table.p
-        if not coeff:
+        if not _bit(coeff):
             return cls.zero(table)
-        return cls._raw(table, {_pack_named(table, exps): coeff})
+        return cls._raw(table, {_pack_named(table, exps): 1})
 
     def __hash__(self):
         return hash(frozenset(self._t.items()))
 
     def __add__(self, other: SparsePoly) -> SparsePoly:
         _same_table(self, other)
-        p = self.table.p
         out = dict(self._t)
-        for key, c in other._t.items():
-            s = (out.get(key, 0) + c) % p
-            if s:
-                out[key] = s
-            else:
+        for key in other._t:
+            if key in out:
                 del out[key]
+            else:
+                out[key] = 1
         return SparsePoly._raw(self.table, out)
-
-    def scaled(self, c: int) -> SparsePoly:
-        p = self.table.p
-        c %= p
-        if c == 0:
-            return SparsePoly.zero(self.table)
-        if c == 1:
-            return self
-        return SparsePoly._raw(self.table, {k: (v * c) % p for k, v in self._t.items()})
 
     def __mul__(self, other: SparsePoly) -> SparsePoly:
         _same_table(self, other)
@@ -458,41 +443,36 @@ class SparsePoly(_TermMap):
             return SparsePoly._raw(table, {})
         shift = table._deg_shift
         _check_degree((max(a) >> shift) + (max(b) >> shift))
-        p = table.p
         if len(a) < len(b) or a == {0: 1}:
             a, b = b, a
         if len(b) == 1:
-            # a monomial factor: keys stay distinct, residues stay nonzero
-            ((k2, c2),) = b.items()
-            if k2 == 0 and c2 == 1:
+            # a monomial factor: keys stay distinct
+            (k2,) = b
+            if k2 == 0:
                 return self if a is self._t else other
-            return SparsePoly._raw(table, {k1 + k2: c1 * c2 % p for k1, c1 in a.items()})
+            return SparsePoly._raw(table, {k1 + k2: 1 for k1 in a})
+        # a key hit an even number of times cancels
         out = {}
         get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
+        for k1 in a:
+            for k2 in b:
                 k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        return SparsePoly._raw(table, {k: r for k, c in out.items() if (r := c % p)})
+                out[k] = get(k, 0) ^ 1
+        return SparsePoly._raw(table, {k: 1 for k, c in out.items() if c})
 
     def frobenius(self) -> SparsePoly:
-        # c**p = c in GF(p), so only exponents scale
+        # c**2 = c in GF(2), so only exponents double
         table = self.table
-        p = table.p
         if self._t:
-            _check_degree((max(self._t) >> table._deg_shift) * p)
-        return SparsePoly._raw(table, {k * p: c for k, c in self._t.items()})
+            _check_degree((max(self._t) >> table._deg_shift) * 2)
+        return SparsePoly._raw(table, {k << 1: 1 for k in self._t})
 
     def p_root(self) -> SparsePoly | None:
-        """p-th root, or None when some exponent is not divisible by p."""
-        table = self.table
-        p = table.p
-        out = {}
-        for key, c in self._t.items():
-            if any(e % p for e in _unpack(table, key)):
-                return None
-            out[key // p] = c
-        return SparsePoly._raw(table, out)
+        """Square root, or None when some exponent is odd."""
+        odd = self.table._odd
+        if any(key & odd for key in self._t):
+            return None
+        return SparsePoly._raw(self.table, {key >> 1: 1 for key in self._t})
 
     def is_param_only(self) -> bool:
         mask = self.table._geom_mask
@@ -519,13 +499,11 @@ class SparsePoly(_TermMap):
 
     @staticmethod
     def _unit_coeff(c) -> bool:
-        return c == 1
+        return True
 
-    def _times(self, c: int, e: int) -> int:
-        return c * e % self.table.p
-
-    def _over(self, c: int, d: int) -> int:
-        return c * pow(d, -1, self.table.p) % self.table.p
+    @staticmethod
+    def _over(c: int, d: int) -> int:
+        return 1
 
     _coeff_text = staticmethod(str)
 
@@ -569,7 +547,7 @@ def _lcm_key(table: VarTable, keys: set) -> int:
 
 
 def _normalised(num: SparsePoly, den: SparsePoly):
-    """Strip the common monomial factor and make the denominator monic."""
+    """Strip the common monomial factor (over GF(2) every den is monic)."""
     table = num.table
     nt, dt = num._t, den._t
     if not nt:
@@ -577,25 +555,19 @@ def _normalised(num: SparsePoly, den: SparsePoly):
     if 0 not in nt and 0 not in dt:
         common = _content_key(table, [*dt, *nt])
         if common:
-            nt = {k - common: c for k, c in nt.items()}
-            dt = {k - common: c for k, c in dt.items()}
-            num = SparsePoly._raw(table, nt)
-            den = SparsePoly._raw(table, dt)
-    lc = dt[max(dt)]
-    if lc != 1:
-        inv = pow(lc, table.p - 2, table.p)
-        num = num.scaled(inv)
-        den = den.scaled(inv)
+            num = SparsePoly._raw(table, {k - common: 1 for k in nt})
+            den = SparsePoly._raw(table, {k - common: 1 for k in dt})
     return num, den
 
 
 class RingFraction:
-    """num/den over an integral domain, the arithmetic ``ParamRational``
-    and ``quotient.SFraction`` share.  A subclass supplies the idempotent
-    hook ``normalise(num, den)``, through which ``_make`` builds every
-    result, and ``divide``, an exact division (quotient or None) or None.
-    Equality is by cross multiplication, so the normal form is cosmetic;
-    adding zero returns the other operand as it is.
+    """num/den over an integral domain of characteristic 2, the arithmetic
+    ``ParamRational`` and ``quotient.SFraction`` share, so negation is the
+    identity and subtraction is addition.  A subclass supplies the
+    idempotent hook ``normalise(num, den)``, through which ``_make`` builds
+    every result, and ``divide``, an exact division (quotient or None) or
+    None.  Equality is by cross multiplication, so the normal form is
+    cosmetic; adding zero returns the other operand as it is.
 
     Over unequal denominators b and d, where d divides b with cofactor q,
     a sum is (a + c q)/b, else (a d + c b)/(b d) (Knuth, TAOCP vol. 2,
@@ -643,10 +615,10 @@ class RingFraction:
                           self.den * other.den)
 
     def __neg__(self):
-        return self if self.table.p == 2 else self._make(-self.num, self.den)
+        return self
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + other
 
     def __mul__(self, other):
         _same_table(self.num, other.num)
@@ -684,7 +656,7 @@ class RingFraction:
 class ParamRational(RingFraction):
     """Quotient of parameter-only sparse polynomials.  The constructor
     and ``from_json`` validate that; ``_make`` skips the check, since sums,
-    products, powers and p-th roots of such polynomials are parameter-only.
+    products, powers and square roots of such polynomials are parameter-only.
     """
 
     __slots__ = ()
@@ -725,9 +697,6 @@ class ParamRational(RingFraction):
     def var(cls, table: VarTable, name: str, power: int = 1) -> ParamRational:
         return cls(SparsePoly.var(table, name, power))
 
-    def scaled(self, c: int) -> ParamRational:
-        return ParamRational._make(self.num.scaled(c), self.den)
-
     def __pow__(self, n: int) -> ParamRational:
         if n < 0:
             return self.inverse() ** (-n)
@@ -737,14 +706,12 @@ class ParamRational(RingFraction):
         return ParamRational._make(self.num.frobenius(), self.den.frobenius())
 
     def p_root(self) -> ParamRational | None:
-        """p-th root, or None when the value is not a p-th power.
+        """Square root, or None when the value is not a square.
 
-        Uses (n/d)^(1/p) = (n * d^(p-1))^(1/p) / d, which keeps the
-        computation inside the polynomial ring.
+        Uses (n/d)^(1/2) = (n * d)^(1/2) / d, which keeps the computation
+        inside the polynomial ring.
         """
-        p = self.table.p
-        prod = self.num * self.den ** (p - 1)
-        root = prod.p_root()
+        root = (self.num * self.den).p_root()
         if root is None:
             return None
         return ParamRational._make(root, self.den)
@@ -782,10 +749,10 @@ class GeomPoly(_TermMap):
     ``MAX_DEGREE`` and a result beyond it raises ``OverflowError``.  The
     constructor takes exponent tuples and rejects a nonzero parameter
     slot; ``terms`` is a read-only view keyed by exponent tuples.  The
-    ring axioms hold exactly and the Frobenius p-th power is a ring
+    ring axioms hold exactly and the Frobenius square is a ring
     endomorphism.
 
-    A product is one flat product of integer term maps when every
+    A product is one flat product of GF(2) term maps when every
     coefficient of both factors has a monomial denominator
     (``_laurent_product``) and a nested loop with ``ParamRational``
     arithmetic otherwise (``_nested_product``).  Both give the same ``num``
@@ -895,10 +862,9 @@ class GeomPoly(_TermMap):
 
     def frobenius(self) -> GeomPoly:
         table = self.table
-        p = table.p
         if self._t:
-            _check_degree((max(self._t) >> table._deg_shift) * p)
-        return GeomPoly._raw(table, {k * p: c.frobenius() for k, c in self._t.items()})
+            _check_degree((max(self._t) >> table._deg_shift) * 2)
+        return GeomPoly._raw(table, {k << 1: c.frobenius() for k, c in self._t.items()})
 
     def substituted(self, bindings: dict) -> GeomPoly:
         """Simultaneous substitution of geometric variables by GeomPoly
@@ -938,8 +904,7 @@ class GeomPoly(_TermMap):
             num = c.num if c.den.is_one() else exact_divide(c.num, c.den)
             if num is None:
                 raise ArithmeticError(f"a coefficient of {self} is not a polynomial")
-            for k, v in num._t.items():
-                out[key + k] = v
+            out.update({key + k: 1 for k in num._t})
         return SparsePoly._raw(self.table, out)
 
     def as_param_rational(self) -> ParamRational:
@@ -976,10 +941,6 @@ class GeomPoly(_TermMap):
     @staticmethod
     def _unit_coeff(c) -> bool:
         return c.is_one()
-
-    @staticmethod
-    def _times(c: ParamRational, e: int) -> ParamRational:
-        return c.scaled(e)
 
     @staticmethod
     def _over(c: ParamRational, d: ParamRational) -> ParamRational:
@@ -1022,7 +983,7 @@ def _nested_product(a: dict, b: dict) -> dict:
 
 def _lifted(table: VarTable, terms: dict, split: int):
     """A term map whose coefficients have monomial denominators as one
-    integer term map: each coefficient times the lcm L of the denominators,
+    flat term map: each coefficient times the lcm L of the denominators,
     its parameter keys below bit ``split`` and its geometric key above.
     Returns the map, L and the largest total parameter degree in it."""
     lcm = _lcm_key(table, {next(iter(c.den._t)) for c in terms.values()})
@@ -1040,19 +1001,19 @@ def _lifted(table: VarTable, terms: dict, split: int):
 
 def _laurent_product(a: GeomPoly, b: GeomPoly) -> dict | None:
     """Product terms of two ``GeomPoly`` values whose coefficients all
-    have monomial denominators, by one product of their lifted integer
-    term maps mod p; None when a lifted parameter degree would pass
+    have monomial denominators, by one product of their lifted flat
+    term maps mod 2; None when a lifted parameter degree would pass
     ``MAX_DEGREE``, so that the caller's nested product decides (and
     raises ``OverflowError`` if the result itself is out of range).
 
     Each coefficient is N/m for a monomial m = a^d, i.e. the Laurent
     polynomial N a^(-d), and ``_normalised`` makes it unique: it strips
-    the common monomial factor of N and m and keeps m monic, which leaves
-    the least d.  So the product coefficient at a geometric key, built as
-    (its part of La Lb)/(a^(La+Lb)) and normalised once, has the same
-    ``num`` and ``den`` maps as the nested route's sum of normalised
-    products, whatever the order of evaluation; as den is a monic monomial
-    that normal form only strips the common monomial.  Each value is lifted
+    the common monomial factor of N and m, which leaves the least d.  So
+    the product coefficient at a geometric key, built as (its part of
+    La Lb)/(a^(La+Lb)) and normalised once, has the same ``num`` and
+    ``den`` maps as the nested route's sum of normalised products,
+    whatever the order of evaluation; as den is a monomial that normal
+    form only strips the common monomial.  Each value is lifted
     once and keeps the lift, as its term map never changes."""
     table = a.table
     # a parameter key of degree at most MAX_DEGREE, and the sum of two,
@@ -1066,19 +1027,18 @@ def _laurent_product(a: GeomPoly, b: GeomPoly) -> dict | None:
     den_key = la + lb
     if top_a + top_b > MAX_DEGREE or den_key >> table._deg_shift > MAX_DEGREE:
         return None
-    p = table.p
     prod: dict = {}
     get = prod.get
-    for k1, c1 in fa.items():
-        for k2, c2 in fb.items():
+    for k1 in fa:
+        for k2 in fb:
             k = k1 + k2
-            prod[k] = get(k, 0) + c1 * c2
+            prod[k] = get(k, 0) ^ 1
     low = (1 << split) - 1
     parts: dict = {}
     for k, c in prod.items():
         part = parts.setdefault(k >> split, {})
-        if r := c % p:
-            part[k & low] = r
+        if c:
+            part[k & low] = 1
     caps = _den_fields(table, den_key)
     return {g: _laurent_coefficient(table, nt, den_key, caps)
             for g, nt in parts.items() if nt}
@@ -1092,7 +1052,7 @@ def _den_fields(table: VarTable, key: int) -> list:
 
 def _laurent_coefficient(table: VarTable, nt: dict, den_key: int,
                          caps: list) -> ParamRational:
-    """``_normalised`` of nonzero nt over the monic monomial den_key, with
+    """``_normalised`` of nonzero nt over the monomial den_key, with
     ``caps`` = ``_den_fields(table, den_key)``: only the common monomial is
     stripped, in each field the least exponent of den_key and the keys of
     nt, none when nt has a constant term."""
@@ -1129,7 +1089,7 @@ class Derivation:
 
     Variables without an image map to zero.  Images of parameter variables
     act on coefficients through the quotient rule; since derivations kill
-    p-th powers, a Frobenius image always derives to zero.
+    squares, a Frobenius image always derives to zero.
     """
 
     __slots__ = ("table", "images", "_geom", "_param")
@@ -1168,9 +1128,9 @@ def exact_divide(f, g):
     Multivariate trial division against the fixed graded-lex order; the
     first leading term not divisible by g's leading term already certifies
     a nonzero remainder, so the scan can stop there.  On ``SparsePoly``
-    values this decides divisibility in GF(p)[a][u], on ``GeomPoly``
+    values this decides divisibility in GF(2)[a][u], on ``GeomPoly``
     values over the parameter field; for a divisor of content 1 in
-    GF(p)[a] the two agree by Gauss's lemma.
+    GF(2)[a] the two agree by Gauss's lemma.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -1208,23 +1168,23 @@ def pseudo_substitute(f: SparsePoly, name: str, lead: SparsePoly,
                   + k * ((lead_key >> deg) + (max(rest._t, default=0) >> deg)))
     powers = [rest ** e for e in range(k + 1)]
     out: dict = {}
-    for key, c in f._t.items():
+    for key in f._t:
         e = (key >> shift) & MAX_DEGREE
         key += (k - e) * lead_key - e * unit
-        for k2, c2 in powers[e]._t.items():
-            out[key + k2] = out.get(key + k2, 0) + c * c2
-    return SparsePoly._raw(table, {key: r for key, c in out.items() if (r := c % table.p)})
+        for k2 in powers[e]._t:
+            out[key + k2] = out.get(key + k2, 0) ^ 1
+    return SparsePoly._raw(table, {key: 1 for key, c in out.items() if c})
 
 
 def root_monomial(table: VarTable, name: str, j: int) -> SparsePoly:
-    """The p^j-th root of the depth-0 parameter behind ``name``.
+    """The 2^j-th root of the depth-0 parameter behind ``name``.
 
-    At depth k this is symbol**(p**(k-j)); roots beyond the depth fail.
+    At depth k this is symbol**(2**(k-j)); roots beyond the depth fail.
     """
     k = table.root_depth
     if j < 0 or j > k:
-        raise RootDepthError(f"p^{j}-th root needs depth >= {j}, table has {k}")
-    return SparsePoly.var(table, name, table.p ** (k - j))
+        raise RootDepthError(f"2^{j}-th root needs depth >= {j}, table has {k}")
+    return SparsePoly.var(table, name, 2 ** (k - j))
 
 
 def parse(table: VarTable, text: str) -> GeomPoly:

@@ -1,10 +1,11 @@
 """Linear algebra over the chart base ring for the quotient computation.
 
-On the chart i0 the double cover has coordinate ring M = K[x]/(q), a free
-rank-8 module over the base ring S = K[u]/(r_0) with the square-free
-basis 1, x_a, x_b, x_c, x_a x_b, ..., x_a x_b x_c, where u_m stands for
-x_m^2.  S itself is realised canonically as a polynomial ring in two of
-the u's by eliminating the u with the highest index through r_0.
+Over K = GF(2)(a0..a3), on the chart i0 the double cover has coordinate
+ring M = K[x]/(q), a free rank-8 module over the base ring S = K[u]/(r_0)
+with the square-free basis 1, x_a, x_b, x_c, x_a x_b, ..., x_a x_b x_c,
+where u_m stands for x_m^2.  S itself is realised canonically as a
+polynomial ring in two of the u's by eliminating the u with the highest
+index through r_0.
 
 The quotient surface's chart ring is the kernel of the foliation
 derivation acting S-linearly on M.  The kernel is computed by exact
@@ -56,7 +57,7 @@ class DerivationNotLinearError(ValueError):
 
 def alpha_value(table: VarTable, i: int) -> ParamRational:
     """The depth-0 parameter a_i expressed in the table's root symbols."""
-    return ParamRational.var(table, f"a{i}", table.p ** table.root_depth)
+    return ParamRational.var(table, f"a{i}", 2 ** table.root_depth)
 
 
 class BaseRingS:
@@ -67,8 +68,6 @@ class BaseRingS:
                  "elim_name", "_elim_binding", "_lead", "_rest")
 
     def __init__(self, table: VarTable, chart: int):
-        if table.p != 2:
-            raise ValueError("the quotient machinery requires characteristic 2")
         if chart not in (0, 1, 2, 3):
             raise ValueError("chart index must be in 0..3")
         self.table = table

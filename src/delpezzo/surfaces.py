@@ -71,9 +71,9 @@ _CHART_TABLES: dict[tuple[int, int], VarTable] = {}
 
 
 def chart_table(i0: int = 0, depth: int = 0) -> VarTable:
-    """Variable table for one affine chart of the quadric.
+    """Variable table over GF(2) for one affine chart of the quadric.
 
-    Parameters a0..a3 (read as p^depth-th roots when depth > 0), the
+    Parameters a0..a3 (read as 2^depth-th roots when depth > 0), the
     homogeneous coordinates X0..X3, the chart coordinates x_m, the squares
     u_m, the kernel generators t_m and the cusp curve coordinate s.
     There is one table per (i0, depth) value, however the arguments are
@@ -89,7 +89,7 @@ def chart_table(i0: int = 0, depth: int = 0) -> VarTable:
         names += [f"t{m}" for m in rest]
         names += ["s"]
         kinds = [PARAM] * 4 + [GEOM] * (len(names) - 4)
-        _CHART_TABLES[key] = VarTable(names, kinds, p=2, root_depth=depth)
+        _CHART_TABLES[key] = VarTable(names, kinds, root_depth=depth)
     return _CHART_TABLES[key]
 
 
@@ -150,8 +150,9 @@ class FoliationSpec:
 
 
 def check_p_closure(fol: FoliationSpec) -> list[CheckResult]:
-    """theta^2 = theta on every generator; a derivation's p-th power is a
-    derivation again, so generator agreement settles the operator identity."""
+    """theta^2 = theta on every generator; in characteristic 2 a
+    derivation's square is a derivation again, so generator agreement
+    settles the operator identity."""
     table = fol.chart.table
     theta = fol.theta
     names = [f"x{m}" for m in others(fol.chart.i0)] + [f"a{k}" for k in range(4)]

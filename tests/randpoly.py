@@ -19,10 +19,10 @@ from delpezzo.algebra import (
 )
 
 
-def make_table(p=2, depth=0):
+def make_table(depth=0):
     names = ["a0", "a1", "a2", "x1", "x2", "x3"]
     kinds = [PARAM] * 3 + [GEOM] * 3
-    return VarTable(names, kinds, p=p, root_depth=depth)
+    return VarTable(names, kinds, root_depth=depth)
 
 
 def random_sparse(rng, table, max_terms=4, max_exp=3, params_only=False):
@@ -32,7 +32,7 @@ def random_sparse(rng, table, max_terms=4, max_exp=3, params_only=False):
         exp = [0] * len(table.names)
         for _ in range(rng.randint(0, 3)):
             exp[rng.choice(pool)] += rng.randint(1, max_exp)
-        terms[tuple(exp)] = rng.randrange(1, table.p) if table.p > 2 else 1
+        terms[tuple(exp)] = 1
     return SparsePoly(table, terms)
 
 

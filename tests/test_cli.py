@@ -127,6 +127,13 @@ class TestPresentationCommand:
         result = run_cli("presentation", "--chart", "5")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("coeff", [1.5, True, "1"], ids=["float", "bool", "str"])
+    def test_non_integer_coefficient_is_rejected(self, coeff):
+        payload = surfaces.build_presentation(0).to_json()
+        payload["relations"][0]["terms"][0]["coeff_num"][0]["coeff"] = coeff
+        with pytest.raises(ValueError, match="must be an integer"):
+            load_presentation(payload)
+
 
 class TestInProcessEntry:
     def test_main_returns_exit_code(self, capsys):
