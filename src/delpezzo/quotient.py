@@ -5,7 +5,12 @@ ring M = K[x]/(q), a free rank-8 module over the base ring S = K[u]/(r_0)
 with the square-free basis 1, x_a, x_b, x_c, x_a x_b, ..., x_a x_b x_c,
 where u_m stands for x_m^2.  S itself is realised canonically as a
 polynomial ring in two of the u's by eliminating the u with the highest
-index through r_0.
+index, u_elim, through r_0.  A module vector is the 8-tuple of its
+coordinates, each a canonical S-value: a ``GeomPoly`` free of u_elim.
+Sums, products and scalings of canonical values are canonical, so the one
+reduction is at the rewrite x_m^2 -> u_m in ``to_module_vector``, and
+equality and zero tests on S-values are the polynomial ones.  The ring
+has characteristic 2, so negation is the identity.
 
 The quotient surface's chart ring is the kernel of the foliation
 derivation acting S-linearly on M.  The kernel is computed by exact
@@ -86,7 +91,10 @@ class BaseRingS:
         self._rest = (-rest).as_sparse()
 
     def reduce(self, f: GeomPoly) -> GeomPoly:
-        """Canonical representative with the eliminated u substituted away."""
+        """Canonical representative with the eliminated u substituted away;
+        f itself when it has no term in u_elim, as then it is canonical."""
+        if not f.degree_in(self.elim_name):
+            return f
         return f.substituted(self._elim_binding)
 
     def pseudo_reduce(self, f: SparsePoly) -> SparsePoly:
@@ -94,38 +102,6 @@ class BaseRingS:
         f in u_elim: a_elim^k times ``reduce`` of f, zero exactly when f is
         zero in S, a_elim being a unit of K."""
         return pseudo_substitute(f, self.elim_name, self._lead, self._rest)
-
-    def is_zero(self, f: GeomPoly) -> bool:
-        return self.reduce(f).is_zero()
-
-    def eq(self, f: GeomPoly, g: GeomPoly) -> bool:
-        return self.reduce(f - g).is_zero()
-
-
-class ModuleVector:
-    """Element of the rank-8 free S-module M in the square-free basis."""
-
-    __slots__ = ("ring", "coords")
-
-    def __init__(self, ring: BaseRingS, coords):
-        coords = tuple(coords)
-        if len(coords) != 8:
-            raise ValueError("module vectors have eight coordinates")
-        self.ring = ring
-        self.coords = coords
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return all(self.ring.eq(a, b) for a, b in zip(self.coords, other.coords))
-
-    __hash__ = None
-
-    def __str__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
 def basis_monomial(ring: BaseRingS, slot: int) -> GeomPoly:
@@ -135,8 +111,9 @@ def basis_monomial(ring: BaseRingS, slot: int) -> GeomPoly:
     return mono
 
 
-def to_module_vector(f: GeomPoly, ring: BaseRingS) -> ModuleVector:
-    """Coordinates of f in the square-free basis, rewriting x_m^2 -> u_m."""
+def to_module_vector(f: GeomPoly, ring: BaseRingS) -> tuple:
+    """The eight coordinates of f in the square-free basis, rewriting
+    x_m^2 -> u_m; the one place u_elim enters, so each is reduced here."""
     table = ring.table
     x_idx = tuple(table.index(n) for n in ring.x_names)
     foreign = [i for i in table.geom_indices if i not in x_idx]
@@ -149,7 +126,7 @@ def to_module_vector(f: GeomPoly, ring: BaseRingS) -> ModuleVector:
         u_part = GeomPoly.monomial(
             table, {u: e >> 1 for u, e in zip(ring.u_names, x_exps)}, c)
         coords[slot] = coords[slot] + u_part
-    return ModuleVector(ring, tuple(ring.reduce(c) for c in coords))
+    return tuple(ring.reduce(c) for c in coords)
 
 
 def derivation_matrix(delta, ring: BaseRingS):
@@ -172,20 +149,17 @@ def derivation_matrix(delta, ring: BaseRingS):
                 f"derivation does not kill {xn}^2")
     cols = [to_module_vector(delta(basis_monomial(ring, j)), ring)
             for j in range(8)]
-    return [[cols[j].coords[i] for j in range(8)] for i in range(8)]
+    return [[cols[j][i] for j in range(8)] for i in range(8)]
 
 
-def matrix_apply(mat, vec: ModuleVector) -> ModuleVector:
-    ring = vec.ring
-    out = []
-    for row in mat:
-        acc = GeomPoly.zero(ring.table)
-        for entry, c in zip(row, vec.coords):
-            if entry.is_zero() or c.is_zero():
-                continue
-            acc = acc + entry * c
-        out.append(ring.reduce(acc))
-    return ModuleVector(ring, tuple(out))
+def matrix_apply(mat, vec: tuple) -> tuple:
+    """mat * vec over S.  Entries and coordinates must be canonical (free
+    of u_elim); sums and products of canonical values are canonical, so
+    nothing is reduced."""
+    zero = GeomPoly.zero(mat[0][0].table)
+    return tuple(sum((entry * c for entry, c in zip(row, vec)
+                      if not (entry.is_zero() or c.is_zero())), zero)
+                 for row in mat)
 
 
 class SFraction(RingFraction):
@@ -257,7 +231,7 @@ def _rref(rows, width: int):
     return pivots
 
 
-def kernel_basis(mat, ring: BaseRingS) -> list[ModuleVector]:
+def kernel_basis(mat, ring: BaseRingS) -> list[tuple]:
     """Kernel of the matrix over Frac(S), denominators cleared into S.
 
     Every returned vector is rechecked against mat * v = 0 exactly.
@@ -275,21 +249,21 @@ def kernel_basis(mat, ring: BaseRingS) -> list[ModuleVector]:
         coords[free] = SFraction(GeomPoly.one(table))
         for r, pc in enumerate(pivots):
             coords[pc] = -rows[r][free]
-        vec = _clear_denominators(coords, ring)
-        if not matrix_apply(mat, vec).is_zero():
+        vec = _clear_denominators(coords)
+        if not all(c.is_zero() for c in matrix_apply(mat, vec)):
             raise ArithmeticError("kernel vector fails the exact matrix identity")
         basis.append(vec)
     return basis
 
 
-def _clear_denominators(coords, ring: BaseRingS) -> ModuleVector:
+def _clear_denominators(coords) -> tuple:
     out = []
     for i, c in enumerate(coords):
         num = c.num
         for j, other in enumerate(coords):
             if j != i:
                 num = num * other.den
-        out.append(ring.reduce(num))
+        out.append(num)
     # tidy by the common monomial factor and a leading unit; both are
     # invertible scalings over Frac(S), so the kernel property is kept
     out = strip_common_monomial(out)
@@ -299,7 +273,7 @@ def _clear_denominators(coords, ring: BaseRingS) -> ModuleVector:
         if not lc.is_one():
             inv = lc.inverse()
             out = [g.scaled(inv) for g in out]
-    return ModuleVector(ring, tuple(out))
+    return tuple(out)
 
 
 @dataclass
@@ -413,9 +387,6 @@ class TValue:
     def is_zero(self) -> bool:
         return all(map(SparsePoly.is_zero, self.coords))
 
-    def __neg__(self):
-        return TValue(self.table, [-c for c in self.coords])
-
     def __add__(self, other):
         return TValue(self.table, [b if a.is_zero() else a if b.is_zero() else a + b
                                    for a, b in zip(self.coords, other.coords)])
@@ -451,36 +422,34 @@ def jacobian(relations, var_names) -> list[list]:
     return [[rel.partial(v) for v in var_names] for rel in relations]
 
 
-def jacobian_minors(relations, var_names, size: int, jac=None):
-    """All size x size minors of the Jacobian d(relations)/d(vars).
-
-    A caller holding this Jacobian (a block of a larger one, say) passes
-    it as ``jac``, with entries of any ring type (``TValue`` ones, say);
-    the zero comes from those entries.  Returns ((row indices, column
-    indices), minor) pairs with the minors as computed.  Subdeterminants
-    are memoised across minors, which keeps the full 4x4 scan cheap.
+def jacobian_minors(jac, size: int):
+    """All size x size minors of the matrix ``jac``: a Jacobian from
+    ``jacobian``, or a block of one, with entries of any ring type
+    (``TValue`` ones, say); the zero comes from those entries.  Returns
+    ((row indices, column indices), minor) pairs with the minors as
+    computed.  Subdeterminants are memoised across minors, which keeps the
+    full 4x4 scan cheap.
     """
-    if size < 1 or size > min(len(relations), len(var_names)):
+    if size < 1 or size > min(len(jac), len(jac[0])):
         raise ValueError("minor size exceeds the Jacobian")
-    if jac is None:
-        jac = jacobian(relations, var_names)
     zero = jac[0][0].zero(jac[0][0].table)
     cache: dict = {}
     return [((rows, cols), determinant(jac, zero, rows, cols, cache))
-            for rows in combinations(range(len(relations)), size)
-            for cols in combinations(range(len(var_names)), size)]
+            for rows in combinations(range(len(jac)), size)
+            for cols in combinations(range(len(jac[0])), size)]
 
 
 def determinant(mat, zero, rows: tuple | None = None, cols: tuple | None = None,
                 cache: dict | None = None):
     """Determinant of the square matrix ``mat``, or of its minor on the
     index tuples ``rows`` and ``cols``, by cofactor expansion along the
-    first row.
+    first row.  The ring has characteristic 2, so the cofactor signs are
+    all +1.
 
-    Entries may be any ring values with ``is_zero``, ``*``, ``+`` and
-    unary ``-``.  Subdeterminants are memoised in ``cache`` under (rows,
-    cols), so callers taking many minors of one matrix share one cache.
-    Zero entries and zero subdeterminants are skipped, terms are added in
+    Entries may be any ring values with ``is_zero``, ``*`` and ``+``.
+    Subdeterminants are memoised in ``cache`` under (rows, cols), so
+    callers taking many minors of one matrix share one cache.  Zero
+    entries and zero subdeterminants are skipped, terms are added in
     column order, and ``zero`` is returned when no term survives.
     """
     if rows is None:
@@ -503,8 +472,6 @@ def determinant(mat, zero, rows: tuple | None = None, cols: tuple | None = None,
             if sub.is_zero():
                 continue
             term = entry * sub
-            if k % 2:
-                term = -term
             val = term if val is None else val + term
         if val is None:
             val = zero
@@ -512,14 +479,13 @@ def determinant(mat, zero, rows: tuple | None = None, cols: tuple | None = None,
     return val
 
 
-def _solve_span(basis, target, ring: BaseRingS):
+def _solve_span(basis, target):
     """Matrix X with basis * X = target over Frac(S), or None."""
-    table = ring.table
     nb = len(basis)
     rows = []
     for i in range(8):
-        row = [SFraction(v.coords[i]) for v in basis]
-        row += [SFraction(v.coords[i]) for v in target]
+        row = [SFraction(v[i]) for v in basis]
+        row += [SFraction(v[i]) for v in target]
         rows.append(row)
     pivots = _rref(rows, nb)
     if pivots != list(range(nb)):
@@ -537,7 +503,7 @@ def frobenius_factorization_check(ring: BaseRingS, kern) -> tuple[tuple[int, int
     bijective = all(
         c.is_one() if k == slot else c.is_zero()
         for slot in range(8)
-        for k, c in enumerate(to_module_vector(basis_monomial(ring, slot), ring).coords))
+        for k, c in enumerate(to_module_vector(basis_monomial(ring, slot), ring)))
     degree = 8 // len(kern) if kern else 0
     return (8, len(kern), degree), [
         check("module_rank[8]", bijective, "basis maps to unit vectors"),
@@ -561,8 +527,9 @@ def verify_presentation(pres: Presentation, ring: BaseRingS, delta) -> list[Chec
     for name, rel in pres.relations.items():
         image = rel.substituted(pres.embedding)
         vec = to_module_vector(image, ring)
-        checks.append(check(f"relation_vanishes[{name}]", vec.is_zero(),
-                            None if vec.is_zero() else f"image={vec}"))
+        ok = all(c.is_zero() for c in vec)
+        checks.append(check(f"relation_vanishes[{name}]", ok,
+                            None if ok else "image=(" + ", ".join(map(str, vec)) + ")"))
     for gname in pres.generators:
         img = delta(pres.embedding[gname])
         checks.append(check(f"embedding_killed[{gname}]", img.is_zero(),
@@ -574,12 +541,12 @@ def verify_presentation(pres: Presentation, ring: BaseRingS, delta) -> list[Chec
     claimed_vecs = [to_module_vector(g, ring) for g in claimed]
     if len(kern) == 4:
         zero = SFraction(GeomPoly.zero(table))
-        fwd = _solve_span(kern, claimed_vecs, ring)
+        fwd = _solve_span(kern, claimed_vecs)
         det_fwd = determinant(fwd, zero) if fwd is not None else None
         ok_fwd = det_fwd is not None and not det_fwd.is_zero()
         checks.append(check("span_change_of_basis[kernel_to_claimed]", ok_fwd,
                             f"det={det_fwd}" if det_fwd is not None else "unsolvable"))
-        rev = _solve_span(claimed_vecs, kern, ring)
+        rev = _solve_span(claimed_vecs, kern)
         det_rev = determinant(rev, zero) if rev is not None else None
         ok_rev = det_rev is not None and not det_rev.is_zero()
         checks.append(check("span_change_of_basis[claimed_to_kernel]", ok_rev,

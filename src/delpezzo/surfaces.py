@@ -344,7 +344,7 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
 
     jac = jacobian(rels, pres.generators)
     values = [[normal_form(entry, t_table) for entry in row] for row in jac]
-    minors = jacobian_minors(rels, pres.generators, 4, values)
+    minors = jacobian_minors(values, 4)
     bad = _undivided(minors, ring.pseudo_reduce, closed)
     skew = t_table.nonassociative()
     out.append(check("minors_divisible_by_h", not bad and not skew,
@@ -353,7 +353,7 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
                      + (f", t-table not associative at {skew[:4]} ({len(skew)} of 27)"
                         if skew else "")))
 
-    top = jacobian_minors(rels[:4], pres.u_names, 3, [row[:3] for row in jac[:4]])
+    top = jacobian_minors([row[:3] for row in jac[:4]], 3)
     expected = {(1, 2, 3): SparsePoly.zero(table)}
     for drop, m in enumerate(others(i0)):
         rows = tuple(sorted(set(range(4)) - {drop + 1}))
@@ -365,8 +365,8 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
         out.append(check(f"u_block_minor[{label}]", ok,
                          None if ok else f"minor={ring.reduce(minor.as_geom())}"))
 
-    lower = jacobian_minors(rels[4:], pres.t_names, 2, [row[3:] for row in values[4:]])
-    raw = jacobian_minors(rels[4:], pres.t_names, 2, [row[3:] for row in jac[4:]])
+    lower = jacobian_minors([row[3:] for row in values[4:]], 2)
+    raw = jacobian_minors([row[3:] for row in jac[4:]], 2)
     for ((rows, cols), minor), (_, raw_minor) in zip(lower, raw, strict=True):
         vanishes = all(ring.pseudo_reduce(c).is_zero() for c in minor.coords)
         named = [n for n, rel in zip(rel_names, rels) if rel == raw_minor]
@@ -404,11 +404,8 @@ class CuspReport:
     cusp_u: ParamRational
     cramer_a: list[list[SparsePoly]]
     cramer_a1: list[list[SparsePoly]]
-    cramer_b: list[SparsePoly]
     det_a: SparsePoly
     det_a1: SparsePoly
-    double_line: GeomPoly
-    cusp_plane: GeomPoly
 
 
 def _cubic_coefficients(poly: GeomPoly, table: VarTable, t_name: str, u_name: str):
@@ -480,11 +477,11 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
         out.append(check(f"coefficient_relation[{i},{j}]", rel_sum.is_zero(),
                          None if rel_sum.is_zero() else str(rel_sum)))
 
+    ratios = {i: c[(i, 1)] / c[(1, 1)] for i in (2, 3)}
     roots = {}
     for label, value in (("c10", c[(1, 0)]), ("c12", c[(1, 2)]),
                          ("c22", c[(2, 2)]), ("c32", c[(3, 2)]),
-                         ("c21/c11", c[(2, 1)] / c[(1, 1)]),
-                         ("c31/c11", c[(3, 1)] / c[(1, 1)])):
+                         ("c21/c11", ratios[2]), ("c31/c11", ratios[3])):
         root = value.p_root()
         out.append(check(f"square_root_exists[{label}]", root is not None))
         roots[label] = root
@@ -493,8 +490,7 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
     base = u1.scaled(c[(1, 1)]) + (u1 ** 3).scaled(c[(1, 3)])
     for i in (2, 3):
         lhs = u1.scaled(c[(i, 1)]) + (u1 ** 3).scaled(c[(i, 3)])
-        rhs = base.scaled(c[(i, 1)] / c[(1, 1)])
-        out.append(check(f"s_square_ratio[{i}]", lhs == rhs))
+        out.append(check(f"s_square_ratio[{i}]", lhs == base.scaled(ratios[i])))
 
     if any(root is None for root in roots.values()):
         raise ArithmeticError("cusp computation needs square roots beyond depth 3")
@@ -540,13 +536,10 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
     X = [GeomPoly.var(table, f"X{i}") for i in range(4)]
     double_line = GeomPoly.zero(table)
     sqrt_plane = GeomPoly.zero(table)
-    cusp_plane = GeomPoly.zero(table)
     for i in range(4):
         double_line = double_line + X[i].scaled(
             ParamRational(root_monomial(table, f"a{i}", 2)))
         sqrt_plane = sqrt_plane + X[i].scaled(sqrt_a[i])
-        cusp_plane = cusp_plane + X[i].scaled(
-            ParamRational(root_monomial(table, f"a{i}", 3)))
     squares = {f"X{i}": X[i] ** 2 for i in range(4)}
     out.append(check("double_line_frobenius",
                      double_line.frobenius() == sqrt_plane.substituted(squares)))
@@ -559,11 +552,8 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
         cusp_u=cusp_u,
         cramer_a=a_matrix,
         cramer_a1=a1_matrix,
-        cramer_b=b_column,
         det_a=det_a,
         det_a1=det_a1,
-        double_line=double_line,
-        cusp_plane=cusp_plane,
     )
     return report, out
 

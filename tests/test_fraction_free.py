@@ -30,6 +30,7 @@ from delpezzo.quotient import (
     BaseRingS,
     TTable,
     alpha_value,
+    jacobian,
     jacobian_minors,
     normal_form,
     t_parts,
@@ -175,8 +176,8 @@ class TestCrossCheck:
         pres = build_presentation(0)
         ring = BaseRingS(pres.table, 0)
         rels = list(pres.relations.values())
-        geom = jacobian_minors(rels, pres.generators, 4)
-        flat = jacobian_minors([rel.as_sparse() for rel in rels], pres.generators, 4)
+        geom = jacobian_minors(jacobian(rels, pres.generators), 4)
+        flat = jacobian_minors(jacobian([rel.as_sparse() for rel in rels], pres.generators), 4)
         values = table_minors(pres)[2]
         assert len(geom) == len(flat) == len(values) == 525
         compared = 0
@@ -214,7 +215,7 @@ class TestTTable:
         pres = build_presentation(chart)
         ring = BaseRingS(pres.table, chart)
         t_table, rels, minors = table_minors(pres)
-        raw = jacobian_minors(rels, pres.generators, 4)
+        raw = jacobian_minors(jacobian(rels, pres.generators), 4)
         assert len(minors) == len(raw) == 525
         assert [index for index, _ in minors] == [index for index, _ in raw]
         sample = random.Random(1201 + chart).sample(range(525), 12)

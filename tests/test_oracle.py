@@ -178,8 +178,8 @@ def test_u_block_minors_are_h_multiples(chart):
     u_syms = [sym[n] for n in pres.u_names]
     rels = [sparse_expr(rel.as_sparse(), syms) for rel in list(pres.relations.values())[:4]]
     jac = sp.Matrix([[sp.diff(r, u) for u in u_syms] for r in rels])
-    ours = dict(jacobian_minors([rel.as_sparse() for rel in pres.relations.values()][:4],
-                                pres.u_names, 3))
+    ours = dict(jacobian_minors(jacobian([rel.as_sparse() for rel in pres.relations.values()][:4],
+                                         pres.u_names), 3))
     assert len(ours) == 4
     for dropped in range(4):
         rows = tuple(r for r in range(4) if r != dropped)
@@ -322,10 +322,7 @@ def table_and_raw_minors(pres, size, rows, cols):
     jac = [[jac_row[c] for c in cols] for jac_row in jacobian(rels, pres.generators)]
     jac = [jac[r] for r in rows]
     values = [[normal_form(e, t_table) for e in row] for row in jac]
-    block = [rels[r] for r in rows]
-    names = [pres.generators[c] for c in cols]
-    return (jacobian_minors(block, names, size, values),
-            jacobian_minors(block, names, size, jac))
+    return jacobian_minors(values, size), jacobian_minors(jac, size)
 
 
 def assert_same_coordinates(reference, minors, raw, picks):

@@ -10,12 +10,12 @@ from delpezzo.algebra import Derivation, GeomPoly, ParamRational, SparsePoly, pa
 from delpezzo.quotient import (
     BaseRingS,
     DerivationNotLinearError,
-    ModuleVector,
     Presentation,
     SFraction,
     TTable,
     basis_monomial,
     derivation_matrix,
+    jacobian,
     jacobian_minors,
     kernel_basis,
     matrix_apply,
@@ -44,22 +44,21 @@ def setup():
     return quad, fol, ring, pres
 
 
-def random_x_poly(rng, table, max_terms=4):
+def random_x_poly(rng, table, max_terms=4, x_names=("x1", "x2", "x3")):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         exp = [0] * len(table.names)
-        for name in ("x1", "x2", "x3"):
+        for name in x_names:
             exp[table.index(name)] = rng.randint(0, 3)
         terms[tuple(exp)] = ParamRational.var(table, f"a{rng.randint(0, 3)}")
     return GeomPoly(table, terms)
 
 
-def x_poly(vec):
+def x_poly(vec, ring):
     """Inverse of to_module_vector: the coordinates against the basis
     monomials, with each u_m written back as x_m^2."""
-    ring = vec.ring
     mixed = GeomPoly.zero(ring.table)
-    for slot, c in enumerate(vec.coords):
+    for slot, c in enumerate(vec):
         mixed = mixed + c * basis_monomial(ring, slot)
     return mixed.substituted({un: GeomPoly.var(ring.table, xn) ** 2
                               for un, xn in zip(ring.u_names, ring.x_names)})
@@ -68,7 +67,7 @@ def x_poly(vec):
 class TestBaseRing:
     def test_defining_relation_reduces_to_zero(self, setup):
         _, _, ring, pres = setup
-        assert ring.is_zero(pres.relations["r_0"])
+        assert ring.reduce(pres.relations["r_0"]).is_zero()
 
     def test_reduction_is_idempotent_and_constant_on_cosets(self, setup):
         _, _, ring, pres = setup
@@ -79,30 +78,62 @@ class TestBaseRing:
                            f" + u3^{rng.randint(0, 2)}")
             g = GeomPoly.var(tbl, "u2", rng.randint(0, 2))
             assert ring.reduce(ring.reduce(f)) == ring.reduce(f)
-            assert ring.eq(f + pres.relations["r_0"] * g, f)
+            assert ring.reduce(f + pres.relations["r_0"] * g - f).is_zero()
+
+    def test_a_value_free_of_the_eliminated_u_is_returned_itself(self, setup):
+        _, _, ring, _ = setup
+        f = parse(ring.table, "a0*u1^2*u2 + u2 + x1*t1 + 1")
+        assert ring.reduce(f) is f
+        g = parse(ring.table, "u3^2 + u1")
+        assert ring.reduce(g) is not g and not ring.reduce(g).degree_in("u3")
+
+
+def eliminated_free(values, ring) -> bool:
+    return not any(v.degree_in(ring.elim_name) for v in values)
+
+
+@pytest.mark.parametrize("chart", [0, 1, 2, 3])
+def test_module_values_are_canonical_by_construction(chart):
+    """Only ``to_module_vector`` reduces; every value the kernel pipeline
+    builds from its output is free of the eliminated u already."""
+    pres = build_presentation(chart)
+    ring = BaseRingS(pres.table, chart)
+    delta = FoliationSpec.build("deg1", QuadricChart.build(chart)).theta
+    mat = derivation_matrix(delta, ring)
+    assert eliminated_free([e for row in mat for e in row], ring)
+    claimed = [to_module_vector(g, ring) for g in
+               [GeomPoly.one(pres.table)] + [pres.embedding[t] for t in pres.t_names]]
+    kern = kernel_basis(mat, ring)
+    rng = random.Random(1901 + chart)
+    drawn = [to_module_vector(random_x_poly(rng, ring.table, x_names=ring.x_names), ring)
+             for _ in range(4)]
+    assert len(kern) == 4
+    for vec in claimed + kern + drawn:
+        assert len(vec) == 8 and eliminated_free(vec, ring)
+        assert eliminated_free(matrix_apply(mat, vec), ring)
 
 
 class TestModuleVector:
     def test_cube_rewrites_to_slot_one(self, setup):
         _, _, ring, _ = setup
         vec = to_module_vector(GeomPoly.var(ring.table, "x1", 3), ring)
-        assert vec.coords[1] == GeomPoly.var(ring.table, "u1")
-        assert all(c.is_zero() for i, c in enumerate(vec.coords) if i != 1)
+        assert vec[1] == GeomPoly.var(ring.table, "u1")
+        assert all(c.is_zero() for i, c in enumerate(vec) if i != 1)
 
     def test_kernel_generator_coordinates(self, setup):
         _, _, ring, _ = setup
         tbl = ring.table
         vec = to_module_vector(parse(tbl, "x2*x3 + x2^2*x3 + x2*x3^2"), ring)
         # slots: 1, x1, x2, x3, x1x2, x1x3, x2x3, x1x2x3
-        assert vec.coords[6].is_one()
-        assert vec.coords[3] == GeomPoly.var(tbl, "u2")
+        assert vec[6].is_one()
+        assert vec[3] == GeomPoly.var(tbl, "u2")
         # u3 is the eliminated variable, so compare inside S
-        assert ring.eq(vec.coords[2], GeomPoly.var(tbl, "u3"))
-        assert all(vec.coords[i].is_zero() for i in (0, 1, 4, 5, 7))
+        assert ring.reduce(vec[2] - GeomPoly.var(tbl, "u3")).is_zero()
+        assert all(vec[i].is_zero() for i in (0, 1, 4, 5, 7))
 
     def test_quadric_image_is_the_defining_relation(self, setup):
         quad, _, ring, _ = setup
-        assert to_module_vector(quad.q, ring).is_zero()
+        assert all(c.is_zero() for c in to_module_vector(quad.q, ring))
 
     def test_round_trip(self, setup):
         _, _, ring, _ = setup
@@ -110,7 +141,7 @@ class TestModuleVector:
         for _ in range(10):
             f = random_x_poly(rng, ring.table)
             vec = to_module_vector(f, ring)
-            assert to_module_vector(x_poly(vec), ring) == vec
+            assert to_module_vector(x_poly(vec, ring), ring) == vec
 
     def test_rejects_foreign_variables(self, setup):
         _, _, ring, _ = setup
@@ -128,7 +159,7 @@ class TestDerivationMatrix:
         assert all(mat[i][1].is_zero() for i in range(8) if i not in (0, 1))
         # last column: the triple product column of the block matrix;
         # u3 is eliminated, so its entry is compared inside S
-        assert ring.eq(mat[4][7], GeomPoly.var(tbl, "u3"))
+        assert ring.reduce(mat[4][7] - GeomPoly.var(tbl, "u3")).is_zero()
         assert mat[5][7] == GeomPoly.var(tbl, "u2")
         assert mat[6][7] == GeomPoly.var(tbl, "u1")
         assert mat[7][7].is_one()
@@ -141,7 +172,7 @@ class TestDerivationMatrix:
             acc = GeomPoly.zero(ring.table)
             for k in range(3):
                 acc = acc + mat[0][1 + k] * mat[1 + k][4 + j]
-            assert ring.is_zero(acc)
+            assert ring.reduce(acc).is_zero()
 
     def test_matrix_matches_action(self, setup):
         _, fol, ring, _ = setup
@@ -174,8 +205,8 @@ class TestKernel:
         basis = kernel_basis(mat, ring)
         assert len(basis) == 8
         for j, vec in enumerate(basis):
-            assert vec.coords[j].is_one()
-            assert all(c.is_zero() for i, c in enumerate(vec.coords) if i != j)
+            assert vec[j].is_one()
+            assert all(c.is_zero() for i, c in enumerate(vec) if i != j)
 
     def test_foliation_kernel_structure(self, setup):
         _, fol, ring, _ = setup
@@ -183,14 +214,14 @@ class TestKernel:
         basis = kernel_basis(mat, ring)
         assert len(basis) == 4
         for vec in basis:
-            assert matrix_apply(mat, vec).is_zero()
+            assert all(c.is_zero() for c in matrix_apply(mat, vec))
             # block shape: last coordinate zero, x-block = B * (xx-block)
-            assert vec.coords[7].is_zero()
+            assert vec[7].is_zero()
             for i in range(3):
                 acc = GeomPoly.zero(ring.table)
                 for j in range(3):
-                    acc = acc + mat[1 + i][4 + j] * vec.coords[4 + j]
-                assert ring.eq(vec.coords[1 + i], acc)
+                    acc = acc + mat[1 + i][4 + j] * vec[4 + j]
+                assert ring.reduce(vec[1 + i] - acc).is_zero()
 
 
 def reference_rref(rows, width: int):
@@ -246,7 +277,7 @@ def same_elimination(rows, width: int) -> list:
 
 def span_rows(basis, target) -> list:
     """The system ``_solve_span`` eliminates: basis | target, by rows."""
-    return [[SFraction(v.coords[i]) for v in (*basis, *target)] for i in range(8)]
+    return [[SFraction(v[i]) for v in (*basis, *target)] for i in range(8)]
 
 
 class TestPivotColumns:
@@ -370,34 +401,34 @@ class TestJacobianMinors:
         _, _, _, pres = setup
         tbl = pres.table
         rels = list(pres.relations.values())
-        (_, d_r1_u2), = jacobian_minors([rels[1]], ["u2"], 1)
+        (_, d_r1_u2), = jacobian_minors(jacobian([rels[1]], ["u2"]), 1)
         assert d_r1_u2 == parse(tbl, "u3 + u3^2")
         for m, name in ((1, "u1"), (2, "u2"), (3, "u3")):
-            (_, entry), = jacobian_minors([rels[0]], [name], 1)
+            (_, entry), = jacobian_minors(jacobian([rels[0]], [name]), 1)
             assert entry == GeomPoly.const(tbl, ParamRational.var(tbl, f"a{m}"))
 
     def test_lower_block_minors_are_relations(self, setup):
         _, _, ring, pres = setup
         rels = list(pres.relations.values())
-        minors = jacobian_minors(rels[4:], ["t1", "t2", "t3"], 2)
+        minors = jacobian_minors(jacobian(rels[4:], ["t1", "t2", "t3"]), 2)
         t_table = TTable(pres)
         entries = [[normal_form(rel.as_sparse().partial(t), t_table) for t in pres.t_names]
                    for rel in rels[4:]]
-        values = jacobian_minors(rels[4:], pres.t_names, 2, entries)
+        values = jacobian_minors(entries, 2)
         assert len(minors) == len(values) == 9
         relation_polys = list(pres.relations.values())[1:]
         for (_, minor), (_, value) in zip(minors, values, strict=True):
             assert any(minor == rel for rel in relation_polys)
-            assert all(ring.is_zero(c.as_geom()) for c in value.coords)
+            assert all(ring.reduce(c.as_geom()).is_zero() for c in value.coords)
 
     def test_size_validation(self, setup):
         _, _, _, pres = setup
         rels = list(pres.relations.values())
         with pytest.raises(ValueError):
-            jacobian_minors(rels, ["u1"], 2)
+            jacobian_minors(jacobian(rels, ["u1"]), 2)
 
     def test_parameter_variable_rejected(self, setup):
         _, _, _, pres = setup
         rels = list(pres.relations.values())
         with pytest.raises(ValueError, match="not a geometric variable"):
-            jacobian_minors(rels, ["a0"], 1)
+            jacobian_minors(jacobian(rels, ["a0"]), 1)

@@ -256,7 +256,7 @@ def table_minors(pres):
     rels = [rel.as_sparse() for rel in pres.relations.values()]
     values = [[quotient.normal_form(e, t_table) for e in row]
               for row in quotient.jacobian(rels, pres.generators)]
-    return t_table, rels, quotient.jacobian_minors(rels, pres.generators, 4, values)
+    return t_table, rels, quotient.jacobian_minors(values, 4)
 
 
 def t_poly(pres, value):
