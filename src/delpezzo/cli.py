@@ -6,7 +6,8 @@ Subcommands:
   optionally as JSON.  Exit code 0 means every check passed, 1 means some
   check failed, 2 means the invocation itself was invalid.
 * ``feasibility``: emit the (d, q) feasibility table for a prime p as CSV
-  or a JSON summary of the minimal irregularity per degree.
+  or a JSON summary of the minimal irregularity per degree; the input
+  checks live in ``numerics``, and a value they reject exits 2.
 * ``presentation``: emit the verified quotient chart presentation as JSON.
 
 Every subcommand exits 3, with one line on stderr and no other output,
@@ -33,7 +34,7 @@ import os
 import sys
 import time
 
-from .numerics import feasibility_region, is_prime, numerics_suite
+from .numerics import feasibility_region, numerics_suite
 from .reports import CheckResult, failures, prefixed
 
 SUITES = ("foliations", "presentation", "singular", "cusp", "numerics", "all")
@@ -129,13 +130,11 @@ def run_verify(args) -> int:
 
 
 def run_feasibility(args) -> int:
-    if not is_prime(args.p):
-        print(f"error: --p must be a prime, got {args.p}", file=sys.stderr)
+    try:
+        table = feasibility_region(args.p, args.d_max, args.q_max)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.d_max < 1 or args.q_max < 1:
-        print("error: --d-max and --q-max must be positive", file=sys.stderr)
-        return 2
-    table = feasibility_region(args.p, args.d_max, args.q_max)
     if args.format == "csv":
         return _emit(table.to_csv(), args.out)
     return _emit(_json_dump(table.to_json()), args.out)

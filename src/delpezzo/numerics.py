@@ -6,7 +6,7 @@ q = h^1(O): Riemann-Roch, the Euler characteristic of the pushed-forward
 structure sheaf, the equation tying q_Z to q_X, the resulting feasibility
 region for (d, q), and the closed-form solution of the q = 1 case.  All
 arithmetic uses arbitrary-precision integers and fractions; a non-integer
-value is reported as infeasible rather than rounded.
+value is reported as infeasible (None) rather than rounded.
 """
 
 from __future__ import annotations
@@ -26,26 +26,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-class _Infeasible:
-    """Singleton returned when an equation has no admissible solution."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFEASIBLE"
-
-    def __bool__(self):
-        return False
-
-
-INFEASIBLE = _Infeasible()
 
 
 @dataclass(frozen=True)
@@ -113,9 +93,9 @@ def torsor_chi_sum(params: DelPezzoParams) -> int:
     return closed
 
 
-def main_equation(params: DelPezzoParams):
+def main_equation(params: DelPezzoParams) -> int | None:
     """Solve p^e (1 - q_Z) = p - p q_X + m p (p-1) d (3 + m(2p-1)) / 12
-    for q_Z; INFEASIBLE when the solution is not a nonnegative integer."""
+    for q_Z; None when the solution is not a nonnegative integer."""
     p, m, e, d = params.p, params.m, params.e, params.d
     term = Fraction(_sum_slope(p, m) * d, 12)
     if term.denominator != 1:
@@ -123,7 +103,7 @@ def main_equation(params: DelPezzoParams):
     rhs = Fraction(p - p * params.q_X) + term
     q_Z = 1 - rhs / p ** e
     if q_Z.denominator != 1 or q_Z < 0:
-        return INFEASIBLE
+        return None
     return int(q_Z)
 
 
@@ -203,39 +183,26 @@ ATTAINED = {(1, 1), (2, 1)}
 
 
 @dataclass(frozen=True)
-class FeasibilityRow:
-    p: int
-    d: int
-    q: int
-    feasible: bool
-    attained: bool
-
-
-@dataclass(frozen=True)
 class FeasibilityTable:
     """(d, q) pairs of a prime p, 1 <= d <= len(q_min_by_d), 1 <= q <= q_max.
-    ``rows`` and ``to_csv`` decide each pair by 6q >= d(p^2 - 1) itself, a
+    ``cells`` and ``to_csv`` decide each pair by 6q >= d(p^2 - 1) itself, a
     route independent of the stored minima that ``to_json`` reports."""
 
     p: int
     q_max: int
     q_min_by_d: tuple[int, ...]
 
-    def _cells(self):
+    def cells(self):
         """(d, q, feasible, attained) in row order: d, then q ascending."""
         p, n = self.p, self.p * self.p - 1
         for d in range(1, len(self.q_min_by_d) + 1):
             for q in range(1, self.q_max + 1):
                 yield d, q, 6 * q >= d * n, p == 2 and (d, q) in ATTAINED
 
-    @property
-    def rows(self) -> tuple[FeasibilityRow, ...]:
-        return tuple(FeasibilityRow(self.p, *cell) for cell in self._cells())
-
     def to_csv(self) -> str:
         word = {True: "true", False: "false"}
         lines = ["p,d,q,feasible,attained"]
-        lines += [f"{self.p},{d},{q},{word[f]},{word[a]}" for d, q, f, a in self._cells()]
+        lines += [f"{self.p},{d},{q},{word[f]},{word[a]}" for d, q, f, a in self.cells()]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
@@ -246,7 +213,7 @@ def feasibility_region(p: int, d_max: int, q_max: int) -> FeasibilityTable:
     """Tabulate feasibility of (d, q) pairs under 6q >= d(p^2 - 1).
 
     Pure integer comparisons; for p = 2 the attained pairs (1, 1) and
-    (2, 1) are flagged.  Rows are built on demand by the table.
+    (2, 1) are flagged.  Cells are built on demand by the table.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -292,7 +259,7 @@ def numerics_suite() -> list[CheckResult]:
                          h0_anticanonical(1, e) == 2 ** e))
 
     table2 = feasibility_region(2, 12, 8)
-    flags = {(r.d, r.q): r.feasible for r in table2.rows}
+    flags = {(d, q): f for d, q, f, _ in table2.cells()}
     out.append(check("feasible_attained_p2",
                      flags[(1, 1)] and flags[(2, 1)] and not flags[(3, 1)]))
     out.append(check("q_min_p3", feasibility_region(3, 4, 8).q_min_by_d[0] == 2))

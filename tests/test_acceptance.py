@@ -63,7 +63,7 @@ def test_01_irregularity_one_classification():
 
 def test_02_feasibility_region():
     two = feasibility_region(2, 4, 2)
-    flags = {(r.d, r.q): r.feasible for r in two.rows}
+    flags = {(d, q): f for d, q, f, _ in two.cells()}
     ok = flags[(1, 1)] and flags[(2, 1)] and not flags[(3, 1)]
     ok = ok and feasibility_region(3, 1, 4).q_min_by_d[0] == 2
     ok = ok and feasibility_region(5, 1, 8).q_min_by_d[0] == 4

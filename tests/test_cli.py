@@ -10,6 +10,7 @@ import pytest
 from delpezzo import surfaces
 from delpezzo.algebra import ZeroDenominatorError
 from delpezzo.cli import load_presentation, main, suite_checks
+from delpezzo.numerics import FeasibilityTable
 from delpezzo.quotient import BaseRingS, verify_presentation
 from delpezzo.reports import failures
 from delpezzo.surfaces import FoliationSpec, QuadricChart
@@ -183,6 +184,25 @@ class TestInProcessEntry:
         assert result.returncode == 2
         assert result.stdout == "" and "Traceback" not in result.stderr
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "4"], "p must be prime, got 4"),
+        (["--p", "1"], "p must be prime, got 1"),
+        (["--p", "7", "--d-max", "0"], "table bounds must be positive"),
+        (["--q-max", "0"], "table bounds must be positive")])
+    def test_invalid_feasibility_input_is_usage_error(self, capsys, flags, message):
+        assert main(["feasibility", *flags]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"error: {message}\n"
+
+    def test_feasibility_emit_error_is_not_a_usage_error(self, monkeypatch):
+        # only feasibility_region's input checks map to exit 2
+        def broken(table):
+            raise ValueError("p must be prime, got 2")
+        monkeypatch.setattr(FeasibilityTable, "to_csv", broken)
+        with pytest.raises(ValueError):
+            main(["feasibility", "--p", "2"])
 
     def test_feasibility_to_stdout(self, capsys):
         assert main(["feasibility", "--p", "5", "--d-max", "1", "--q-max", "4",

@@ -10,7 +10,6 @@ import pytest
 
 from delpezzo import numerics
 from delpezzo.numerics import (
-    INFEASIBLE,
     DelPezzoParams,
     cover_identities,
     exact_lower_bound,
@@ -75,7 +74,7 @@ class TestMainEquation:
 
     def test_degree_three_infeasible(self):
         result = main_equation(DelPezzoParams(p=2, m=1, e=0, d=3, q_X=1))
-        assert result is INFEASIBLE
+        assert result is None
 
     def test_solutions_match_the_scan(self):
         hits = set(solve_q1(7, 6, 20))
@@ -87,7 +86,7 @@ class TestMainEquation:
                         if (p, m, e, d) in hits:
                             assert q_Z == 0
                         else:
-                            assert q_Z is INFEASIBLE
+                            assert q_Z is None
 
 
 class TestTorsorDegree:
@@ -145,14 +144,14 @@ class TestSolveQ1:
 class TestFeasibility:
     def test_characteristic_two_row(self):
         table = feasibility_region(2, 4, 4)
-        flags = {(r.d, r.q): (r.feasible, r.attained) for r in table.rows}
+        flags = {(d, q): (f, a) for d, q, f, a in table.cells()}
         assert flags[(1, 1)] == (True, True)
         assert flags[(2, 1)] == (True, True)
         assert flags[(3, 1)] == (False, False)
 
     def test_characteristic_three(self):
         table = feasibility_region(3, 4, 4)
-        flags = {(r.d, r.q): r.feasible for r in table.rows}
+        flags = {(d, q): f for d, q, f, _ in table.cells()}
         assert flags[(1, 1)] is False  # 6 < 8
         assert table.q_min_by_d[0] == 2
 
@@ -164,13 +163,13 @@ class TestFeasibility:
             table = feasibility_region(p, 6, 40)
             for d in range(1, 7):
                 q_min = table.q_min_by_d[d - 1]
-                rows = {r.q: r.feasible for r in table.rows if r.d == d}
+                rows = {q: f for row_d, q, f, _ in table.cells() if row_d == d}
                 assert all(not rows[q] for q in rows if q < q_min)
                 assert all(rows[q] for q in rows if q >= q_min)
 
     def test_monotonicity(self):
         table = feasibility_region(3, 8, 8)
-        flags = {(r.d, r.q): r.feasible for r in table.rows}
+        flags = {(d, q): f for d, q, f, _ in table.cells()}
         for d in range(1, 9):
             for q in range(1, 8):
                 if flags[(d, q)]:
@@ -258,7 +257,7 @@ def inequality_rows(p, d_max, q_max):
 def test_feasibility_outputs_match_the_inequality(p, d_max, q_max):
     table = feasibility_region(p, d_max, q_max)
     expected = inequality_rows(p, d_max, q_max)
-    assert [(r.p, r.d, r.q, r.feasible, r.attained) for r in table.rows] == expected
+    assert [(p, *cell) for cell in table.cells()] == expected
     words = {True: "true", False: "false"}
     assert table.to_csv() == "p,d,q,feasible,attained\n" + "".join(
         f"{p},{d},{q},{words[f]},{words[a]}\n" for p, d, q, f, a in expected)
