@@ -13,9 +13,9 @@ The value model has two term maps and one fraction arithmetic:
   ``ParamRational``, a quotient of parameter-only sparse polynomials,
   strips a common monomial factor (no multivariate gcd is ever computed,
   but a sum is taken over the larger denominator when the smaller divides
-  it); its constructor and ``from_json`` check that both parts are
-  parameter-only, which ring operations cannot break.  The other subclass
-  is ``quotient.SFraction``.
+  it); its constructor checks that both parts are parameter-only, which
+  ring operations cannot break, and ``GeomPoly.from_json`` builds each
+  coefficient through it.  The other subclass is ``quotient.SFraction``.
 * ``GeomPoly``: a polynomial in the geometric variables whose coefficients
   are ``ParamRational`` values, on the same packed keys with every
   parameter field zero.  Its ``substituted`` binds geometric variables
@@ -161,18 +161,21 @@ def _same_table(a, b) -> None:
 
 
 def _pack(table: VarTable, exp) -> int:
-    """Packed key of an exponent tuple, validating width, sign and degree."""
+    """Packed key of an exponent tuple, validating width, type, sign and
+    degree; an exponent that is not an int, bool included, is refused."""
     exp = tuple(exp)
     if len(exp) != len(table.names):
         raise ValueError("exponent tuple has wrong width")
-    if min(exp, default=0) < 0:
-        raise ValueError("exponents must be nonnegative")
-    deg = sum(exp)
-    _check_degree(deg)
-    key = deg << table._deg_shift
+    deg = key = 0
     for e, s in zip(exp, table._shifts):
+        if type(e) is not int:
+            raise ValueError(f"an exponent must be an integer, got {e!r}")
+        if e < 0:
+            raise ValueError("exponents must be nonnegative")
+        deg += e
         key |= e << s
-    return key
+    _check_degree(deg)
+    return key | deg << table._deg_shift
 
 
 def _pack_named(table: VarTable, exps: dict) -> int:
@@ -452,13 +455,7 @@ class SparsePoly(_TermMap):
                 return self if a is self._t else other
             return SparsePoly._raw(table, {k1 + k2: 1 for k1 in a})
         # a key hit an even number of times cancels
-        out = {}
-        get = out.get
-        for k1 in a:
-            for k2 in b:
-                k = k1 + k2
-                out[k] = get(k, 0) ^ 1
-        return SparsePoly._raw(table, {k: 1 for k, c in out.items() if c})
+        return SparsePoly._raw(table, {k: 1 for k, c in _key_sums(a, b).items() if c})
 
     def frobenius(self) -> SparsePoly:
         # c**2 = c in GF(2), so only exponents double
@@ -478,14 +475,12 @@ class SparsePoly(_TermMap):
         mask = self.table._geom_mask
         return not any(key & mask for key in self._t)
 
-    def to_json(self, var_names=None) -> list:
-        names = list(var_names) if var_names is not None else list(self.table.names)
-        return [{"coeff": c, "exponents": exps} for c, exps in self._json_rows(names)]
+    def to_json(self, var_names) -> list:
+        return [{"coeff": c, "exponents": exps} for c, exps in self._json_rows(var_names)]
 
     @classmethod
-    def from_json(cls, table: VarTable, data, var_names=None) -> SparsePoly:
-        names = list(var_names) if var_names is not None else list(table.names)
-        idxs = [table.index(n) for n in names]
+    def from_json(cls, table: VarTable, data, var_names) -> SparsePoly:
+        idxs = [table.index(n) for n in var_names]
         return cls(table, {_spread(table, idxs, item["exponents"]): item["coeff"]
                            for item in data})
 
@@ -509,6 +504,18 @@ class SparsePoly(_TermMap):
 
     def __repr__(self):
         return f"SparsePoly({self})"
+
+
+def _key_sums(a, b) -> dict:
+    """The product of two GF(2) term maps before cancelling: each key sum
+    k1 + k2, in first-hit order, mapped to its hit count mod 2."""
+    out: dict = {}
+    get = out.get
+    for k1 in a:
+        for k2 in b:
+            k = k1 + k2
+            out[k] = get(k, 0) ^ 1
+    return out
 
 
 def _spread(table: VarTable, idxs, exponents) -> tuple:
@@ -655,8 +662,8 @@ class RingFraction:
 
 class ParamRational(RingFraction):
     """Quotient of parameter-only sparse polynomials.  The constructor
-    and ``from_json`` validate that; ``_make`` skips the check, since sums,
-    products, powers and square roots of such polynomials are parameter-only.
+    validates that; ``_make`` skips the check, since sums, products, powers
+    and square roots of such polynomials are parameter-only.
     """
 
     __slots__ = ()
@@ -690,16 +697,10 @@ class ParamRational(RingFraction):
         return cls(SparsePoly.const(table, 1))
 
     @classmethod
-    def const(cls, table: VarTable, c: int) -> ParamRational:
-        return cls(SparsePoly.const(table, c))
-
-    @classmethod
     def var(cls, table: VarTable, name: str, power: int = 1) -> ParamRational:
         return cls(SparsePoly.var(table, name, power))
 
     def __pow__(self, n: int) -> ParamRational:
-        if n < 0:
-            return self.inverse() ** (-n)
         return ParamRational._make(self.num ** n, self.den ** n)
 
     def frobenius(self) -> ParamRational:
@@ -716,17 +717,6 @@ class ParamRational(RingFraction):
             return None
         return ParamRational._make(root, self.den)
 
-    def to_json(self) -> dict:
-        names = [self.table.names[i] for i in self.table.param_indices]
-        return {"num": self.num.to_json(names), "den": self.den.to_json(names)}
-
-    @classmethod
-    def from_json(cls, table: VarTable, data: dict) -> ParamRational:
-        names = [table.names[i] for i in table.param_indices]
-        return cls(SparsePoly.from_json(table, data["num"], names),
-                   SparsePoly.from_json(table, data["den"], names))
-
-
 
 def _as_rational(table: VarTable, value) -> ParamRational:
     if isinstance(value, ParamRational):
@@ -736,7 +726,7 @@ def _as_rational(table: VarTable, value) -> ParamRational:
     if isinstance(value, SparsePoly):
         return ParamRational(value)
     if isinstance(value, int):
-        return ParamRational.const(table, value)
+        return ParamRational(SparsePoly.const(table, value))
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
@@ -918,24 +908,22 @@ class GeomPoly(_TermMap):
         return self._t.get(_pack_named(self.table, exps),
                            ParamRational.zero(self.table))
 
-    def to_json(self, var_names=None) -> list:
+    def to_json(self, var_names) -> list:
         table = self.table
-        names = (list(var_names) if var_names is not None
-                 else [table.names[i] for i in table.geom_indices])
         pnames = [table.names[i] for i in table.param_indices]
         return [{"coeff_num": c.num.to_json(pnames),
                  "coeff_den": c.den.to_json(pnames),
                  "exponents": exps}
-                for c, exps in self._json_rows(names)]
+                for c, exps in self._json_rows(var_names)]
 
     @classmethod
-    def from_json(cls, table: VarTable, data, var_names=None) -> GeomPoly:
-        names = (list(var_names) if var_names is not None
-                 else [table.names[i] for i in table.geom_indices])
-        idxs = [table.index(n) for n in names]
+    def from_json(cls, table: VarTable, data, var_names) -> GeomPoly:
+        idxs = [table.index(n) for n in var_names]
+        pnames = [table.names[i] for i in table.param_indices]
         return cls(table, {
-            _spread(table, idxs, item["exponents"]): ParamRational.from_json(
-                table, {"num": item["coeff_num"], "den": item["coeff_den"]})
+            _spread(table, idxs, item["exponents"]): ParamRational(
+                SparsePoly.from_json(table, item["coeff_num"], pnames),
+                SparsePoly.from_json(table, item["coeff_den"], pnames))
             for item in data})
 
     @staticmethod
@@ -1027,15 +1015,9 @@ def _laurent_product(a: GeomPoly, b: GeomPoly) -> dict | None:
     den_key = la + lb
     if top_a + top_b > MAX_DEGREE or den_key >> table._deg_shift > MAX_DEGREE:
         return None
-    prod: dict = {}
-    get = prod.get
-    for k1 in fa:
-        for k2 in fb:
-            k = k1 + k2
-            prod[k] = get(k, 0) ^ 1
     low = (1 << split) - 1
     parts: dict = {}
-    for k, c in prod.items():
+    for k, c in _key_sums(fa, fb).items():
         part = parts.setdefault(k >> split, {})
         if c:
             part[k & low] = 1

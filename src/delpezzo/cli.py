@@ -186,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_presentation(payload: dict):
-    """Re-parse an emitted presentation JSON onto its canonical table."""
+    """Re-parse an emitted presentation JSON onto its canonical table; a
+    coefficient, exponent or chart that is not an int raises ValueError."""
     from .quotient import Presentation
     from .surfaces import chart_table
     return Presentation.from_json(payload, chart_table(payload["chart"]))

@@ -54,17 +54,12 @@ from .quotient import (
     jacobian,
     jacobian_minors,
     normal_form,
+    others,
     verify_presentation,
 )
 from .reports import CheckResult, check
 
 FOLIATION_KINDS = ("deg1", "deg2")
-
-
-def others(i0: int) -> tuple[int, ...]:
-    if i0 not in (0, 1, 2, 3):
-        raise ValueError("chart index must be in 0..3")
-    return tuple(m for m in range(4) if m != i0)
 
 
 _CHART_TABLES: dict[tuple[int, int], VarTable] = {}
@@ -79,9 +74,8 @@ def chart_table(i0: int = 0, depth: int = 0) -> VarTable:
     There is one table per (i0, depth) value, however the arguments are
     passed, so every table check on a chart is an identity test.
     """
-    key = (i0, depth)
+    rest, key = others(i0), (i0, depth)
     if key not in _CHART_TABLES:
-        rest = others(i0)
         names = [f"a{i}" for i in range(4)]
         names += [f"X{i}" for i in range(4)]
         names += [f"x{m}" for m in rest]

@@ -77,7 +77,7 @@ class TestPrimeField:
         with pytest.raises(ValueError, match="must be an integer"):
             SparsePoly.monomial(tbl, {"a0": 1}, c)
         with pytest.raises(ValueError, match="must be an integer"):
-            SparsePoly.from_json(tbl, [{"coeff": c, "exponents": list(exp)}])
+            SparsePoly.from_json(tbl, [{"coeff": c, "exponents": list(exp)}], tbl.names)
 
 
 class TestVarTable:

@@ -128,10 +128,21 @@ class TestPresentationCommand:
         result = run_cli("presentation", "--chart", "5")
         assert result.returncode == 2
 
-    @pytest.mark.parametrize("coeff", [1.5, True, "1"], ids=["float", "bool", "str"])
-    def test_non_integer_coefficient_is_rejected(self, coeff):
+    @pytest.mark.parametrize("field,value", [
+        pytest.param(field, value, id=name if field == "coefficient" else f"{field}-{name}")
+        for field in ("coefficient", "exponent", "chart")
+        for value, name in ((1.5, "float"), (True, "bool"), ("1", "str"))])
+    def test_non_integer_coefficient_is_rejected(self, field, value):
+        # a payload is outside input: a bool, float or str in any int field
+        # is refused, not read as 1 nor left to raise TypeError
         payload = surfaces.build_presentation(0).to_json()
-        payload["relations"][0]["terms"][0]["coeff_num"][0]["coeff"] = coeff
+        term = payload["relations"][0]["terms"][0]
+        if field == "coefficient":
+            term["coeff_num"][0]["coeff"] = value
+        elif field == "exponent":
+            term["exponents"][0] = value
+        else:
+            payload["chart"] = value
         with pytest.raises(ValueError, match="must be an integer"):
             load_presentation(payload)
 

@@ -92,10 +92,11 @@ class TestFlatPrimitives:
         pres = build_presentation(0)
         payload = pres.to_json()
         a0, a1 = (SparsePoly.var(pres.table, n) for n in ("a0", "a1"))
-        stored = ParamRational(a0 * a0 + a0 * a1, a0 + a1).to_json()
+        params = ["a0", "a1", "a2", "a3"]
         (r0,) = [rel for rel in payload["relations"] if rel["name"] == "r_0"]
         (const,) = [row for row in r0["terms"] if not any(row["exponents"])]
-        const["coeff_num"], const["coeff_den"] = stored["num"], stored["den"]
+        const["coeff_num"] = (a0 * a0 + a0 * a1).to_json(params)
+        const["coeff_den"] = (a0 + a1).to_json(params)
         loaded = cli.load_presentation(payload)
         assert loaded == pres
         assert not loaded.relations["r_0"].coefficient({}).den.is_one()
@@ -559,7 +560,8 @@ class TestProductsByOne:
         table = make_table()
         one, const = GeomPoly.one(table), GeomPoly.const(table, 1)
         assert one.is_one() and ordered(one) == ordered(const)
-        assert one.to_json() == const.to_json()
+        geom = [table.names[i] for i in table.geom_indices]
+        assert one.to_json(geom) == const.to_json(geom)
 
     def test_a_unit_on_another_table_is_refused(self):
         this, that = make_table(), make_table(depth=1)

@@ -167,20 +167,21 @@ class TestStrictJson:
                  "coeff_den": [{"coeff": 1, "exponents": [0, 0]}],
                  "exponents": exponents}]
         with pytest.raises(ValueError):
-            GeomPoly.from_json(self.t, data)
+            GeomPoly.from_json(self.t, data, ["x1", "x2"])
 
     def test_geom_coefficient_wrong_length(self):
         data = [{"coeff_num": [{"coeff": 1, "exponents": [0, 0, 1]}],
                  "coeff_den": [{"coeff": 1, "exponents": [0, 0]}],
                  "exponents": [1, 0]}]
         with pytest.raises(ValueError):
-            GeomPoly.from_json(self.t, data)
+            GeomPoly.from_json(self.t, data, ["x1", "x2"])
 
     def test_round_trip(self):
         f = parse(self.t, "a0^3*x1^2 + a1*x2 + x1*x2 + 1")
         g = f.scaled(ParamRational(SparsePoly.var(self.t, "a1"),
                                    SparsePoly.var(self.t, "a0") + SparsePoly.const(self.t, 1)))
-        assert GeomPoly.from_json(self.t, g.to_json()) == g
+        geom = ["x1", "x2"]
+        assert GeomPoly.from_json(self.t, g.to_json(geom), geom) == g
         s = SparsePoly(self.t, {(3, 0, 2, 0): 1, (0, 1, 0, 1): 1, (0, 0, 1, 1): 1,
                                 (0, 0, 0, 0): 1})
-        assert SparsePoly.from_json(self.t, s.to_json()) == s
+        assert SparsePoly.from_json(self.t, s.to_json(self.t.names), self.t.names) == s
