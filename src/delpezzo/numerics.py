@@ -5,8 +5,10 @@ a del Pezzo surface X of anti-canonical degree d = K^2 and irregularity
 q = h^1(O): Riemann-Roch, the Euler characteristic of the pushed-forward
 structure sheaf, the equation tying q_Z to q_X, the resulting feasibility
 region for (d, q), and the closed-form solution of the q = 1 case.  All
-arithmetic uses arbitrary-precision integers and fractions; a non-integer
-value is reported as infeasible (None) rather than rounded.
+arithmetic is in integers: the closed-form term of the chi sum is one
+(``_sum_slope``), and q_Z is None when it is not a nonnegative integer.
+``Fraction`` holds only the two lower bounds on the irregularity and the
+degree identity of ``cover_identities``.
 """
 
 from __future__ import annotations
@@ -28,36 +30,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DelPezzoParams:
-    """Numeric data of a cover: characteristic p, twist exponent m, field
-    degree exponent e (so the cover's function field has degree p^e over
-    the base), anti-canonical degree d and the irregularity q_X of X."""
-
-    p: int
-    m: int
-    e: int
-    d: int
-    q_X: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
-        if self.e not in (0, 1):
-            raise ValueError("e must be 0 or 1")
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
-        if self.q_X < 0:
-            raise ValueError("the irregularity is nonnegative")
-
-    @property
-    def chi_X(self) -> int:
-        # h^2(O) = 0 on a del Pezzo surface, so chi = 1 - q
-        return 1 - self.q_X
-
-
 def riemann_roch_chi(chi_O: int, D_self: int, D_dot_K: int) -> int:
     """chi(O(D)) = chi(O) + (D.D - D.K)/2 for a divisor on an l.c.i.
     surface; the difference must be even."""
@@ -67,71 +39,65 @@ def riemann_roch_chi(chi_O: int, D_self: int, D_dot_K: int) -> int:
 
 
 def _sum_slope(p: int, m: int) -> int:
-    """c = m p (p-1) (3 + m(2p-1)), so that the closed-form term of the
-    chi sum is c d / 12."""
-    return m * p * (p - 1) * (3 + m * (2 * p - 1))
+    """s = m p (p-1) (3 + m(2p-1)) / 12, so that the closed-form term of
+    the chi sum is s d.  The division is exact for all integers p >= 2 and
+    m >= 1.  For the factor 3: either 3 | p(p-1), or p = 2 (mod 3) and then
+    3 | 2p - 1.  For the factor 4: p(p-1) is even, and either m is even or
+    m(2p-1) is odd, so that 3 + m(2p-1) is even."""
+    return m * p * (p - 1) * (3 + m * (2 * p - 1)) // 12
 
 
-def torsor_chi_sum(params: DelPezzoParams) -> int:
-    """chi of the pushed-forward structure sheaf of the cover.
+def torsor_chi_sum(p: int, m: int, d: int, q_X: int) -> int:
+    """chi of the pushed-forward structure sheaf of the cover of X with
+    characteristic p, twist exponent m, degree d and irregularity q_X.
 
-    The closed form p*chi(O_X) + m p (p-1) d (3 + m(2p-1)) / 12 is checked
-    against the term-by-term sum of chi(O(-i m K)) for i = 0..p-1; the two
-    must agree exactly.
+    The closed form p chi(O_X) + s d (``_sum_slope``) must agree exactly
+    with the term-by-term sum of chi(O(-i m K)) for i = 0..p-1.
     """
-    p, m, d = params.p, params.m, params.d
-    term, rem = divmod(_sum_slope(p, m) * d, 12)
-    if rem:
-        raise ValueError("closed form is not integral for these inputs")
-    closed = params.chi_X * p + term
+    chi_X = 1 - q_X  # h^2(O) = 0 on a del Pezzo surface
+    closed = chi_X * p + _sum_slope(p, m) * d
     brute = 0
     for i in range(p):
-        brute += riemann_roch_chi(params.chi_X, (m * i) ** 2 * d, -(m * i) * d)
+        brute += riemann_roch_chi(chi_X, (m * i) ** 2 * d, -(m * i) * d)
     if closed != brute:
         raise ArithmeticError(
             f"closed form {closed} disagrees with the direct sum {brute}")
     return closed
 
 
-def main_equation(params: DelPezzoParams) -> int | None:
-    """Solve p^e (1 - q_Z) = p - p q_X + m p (p-1) d (3 + m(2p-1)) / 12
-    for q_Z; None when the solution is not a nonnegative integer."""
-    p, m, e, d = params.p, params.m, params.e, params.d
-    term = Fraction(_sum_slope(p, m) * d, 12)
-    if term.denominator != 1:
-        raise ValueError("closed form is not integral for these inputs")
-    rhs = Fraction(p - p * params.q_X) + term
-    q_Z = 1 - rhs / p ** e
-    if q_Z.denominator != 1 or q_Z < 0:
-        return None
-    return int(q_Z)
+def main_equation(p: int, m: int, e: int, d: int, q_X: int) -> int | None:
+    """Solve p^e (1 - q_Z) = p - p q_X + s d (``_sum_slope``) for q_Z, where
+    the cover's function field has degree p^e over the base and the other
+    arguments are those of ``torsor_chi_sum``; None when the solution is
+    not a nonnegative integer."""
+    q, rem = divmod(p - p * q_X + _sum_slope(p, m) * d, p ** e)
+    return None if rem or q > 1 else 1 - q
 
 
-def torsor_degree(params: DelPezzoParams) -> int:
+def torsor_degree(p: int, m: int, e: int, d: int) -> int:
     """Anti-canonical degree of the cover: p^(1-e) (1 + m(p-1))^2 d."""
-    p, m, e, d = params.p, params.m, params.e, params.d
     return p ** (1 - e) * (1 + m * (p - 1)) ** 2 * d
 
 
 def scan_is_conclusive(p_max: int, m_max: int, d_max: int) -> bool:
     """Growth certificate for the finite q = 1 scan.
 
-    The closed-form right side m p (p-1) d (3 + m(2p-1)) / 12 is a product
-    of factors each strictly increasing in m and in d, so once it exceeds
-    the largest admissible left side p just past the box, no solution can
-    hide beyond the box.
+    The closed-form right side s d = m p (p-1) d (3 + m(2p-1)) / 12 is a
+    product of factors each strictly increasing in m and in d, so once it
+    exceeds the largest admissible left side p just past the box, no
+    solution can hide beyond the box.
     """
-    return all(_sum_slope(p, 1) * (d_max + 1) > 12 * p and _sum_slope(p, m_max + 1) > 12 * p
+    return all(_sum_slope(p, 1) * (d_max + 1) > p and _sum_slope(p, m_max + 1) > p
                for p in range(2, p_max + 1) if is_prime(p))
 
 
 def solve_q1(p_max: int = 13, m_max: int = 20, d_max: int = 100) -> list[tuple[int, int, int, int]]:
     """All (p, m, e, d) with q_X = 1 forcing q_Z = 0 within the bounds, in
-    ascending (p, m, e) order.  The equation collapses to p^e = c d / 12 with
-    c = m p (p-1) (3 + m(2p-1)) > 0, linear and strictly increasing in d, so
-    d = 12 p^e / c is the only candidate: a solution when c divides 12 p^e
-    and d <= d_max.  ``scan_is_conclusive`` says whether the bounds cover
-    every solution."""
+    ascending (p, m, e) order.  The equation collapses to p^e = s d with
+    s = ``_sum_slope(p, m)`` > 0, linear and strictly increasing in d, so
+    d = p^e / s is the only candidate: a solution when s divides p^e and
+    d <= d_max.  ``scan_is_conclusive`` says whether the bounds cover every
+    solution."""
     if p_max < 2 or m_max < 1 or d_max < 1:
         raise ValueError("bounds must be at least (2, 1, 1)")
     solutions = []
@@ -139,9 +105,9 @@ def solve_q1(p_max: int = 13, m_max: int = 20, d_max: int = 100) -> list[tuple[i
         if not is_prime(p):
             continue
         for m in range(1, m_max + 1):
-            c = _sum_slope(p, m)
+            s = _sum_slope(p, m)
             for e in (0, 1):
-                d, rem = divmod(12 * p ** e, c)
+                d, rem = divmod(p ** e, s)
                 if not rem and 1 <= d <= d_max:
                     solutions.append((p, m, e, d))
     return solutions
@@ -176,7 +142,7 @@ def inequality_bound(p: int, d: int) -> Fraction:
 def exact_lower_bound(p: int, m: int, e: int, d: int) -> Fraction:
     """The sharper bound 1 - 1/p^(1-e) + m d (p-1)(3 + m(2p-1)) / 12."""
     return (1 - Fraction(1, p ** (1 - e))
-            + Fraction(_sum_slope(p, m) * d, 12 * p))
+            + Fraction(_sum_slope(p, m) * d, p))
 
 
 ATTAINED = {(1, 1), (2, 1)}
@@ -234,26 +200,22 @@ def numerics_suite() -> list[CheckResult]:
     out.append(check("q1_scan_conclusive", scan_is_conclusive(13, 20, 100)))
 
     mismatch = None
-    count = 0
-    for p in (2, 3, 5, 7, 11, 13):
-        for m in range(1, 11):
-            for d in range(1, 21):
-                params = DelPezzoParams(p=p, m=m, e=0, d=d, q_X=0)
-                try:
-                    torsor_chi_sum(params)
-                except ArithmeticError as exc:
-                    mismatch = str(exc)
-                count += 1
+    triples = [(p, m, d) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 11) for d in range(1, 21)]
+    for p, m, d in triples:
+        try:
+            torsor_chi_sum(p, m, d, 0)
+        except ArithmeticError as exc:
+            mismatch = str(exc)
     out.append(check("chi_sum_closed_form", mismatch is None,
-                     mismatch or f"{count} parameter triples"))
+                     mismatch or f"{len(triples)} parameter triples"))
 
     for e, d in ((0, 1), (1, 2)):
         results = cover_identities(e=e, chi_Z=1, chi_X=0, d_X=d, K_Z_sq=8)
         ok = all(c.passed for c in results)
         out.append(check(f"cover_identities[e={e}]", ok))
-        deg = torsor_degree(DelPezzoParams(p=2, m=1, e=e, d=d, q_X=1))
+        deg = torsor_degree(2, 1, e, d)
         out.append(check(f"cover_degree_eight[e={e}]", deg == 8, f"K_Z^2={deg}"))
-        q_Z = main_equation(DelPezzoParams(p=2, m=1, e=e, d=d, q_X=1))
+        q_Z = main_equation(2, 1, e, d, 1)
         out.append(check(f"irregularity_drops[e={e}]", q_Z == 0, f"q_Z={q_Z}"))
         out.append(check(f"h0_anticanonical[e={e}]",
                          h0_anticanonical(1, e) == 2 ** e))

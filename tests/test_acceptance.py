@@ -13,7 +13,6 @@ import sys
 import time
 
 from delpezzo.numerics import (
-    DelPezzoParams,
     cover_identities,
     feasibility_region,
     solve_q1,
@@ -77,7 +76,7 @@ def test_03_chi_sum_closed_form_exhaustive():
         for m in range(1, 11):
             for d in range(1, 21):
                 try:
-                    torsor_chi_sum(DelPezzoParams(p=p, m=m, e=0, d=d, q_X=0))
+                    torsor_chi_sum(p, m, d, 0)
                 except (ValueError, ArithmeticError):
                     ok = False
                 count += 1
@@ -157,7 +156,7 @@ def test_09_numeric_consistency_tower():
     for e, d in ((0, 1), (1, 2)):
         ok = ok and not failures(
             cover_identities(e=e, chi_Z=1, chi_X=0, d_X=d, K_Z_sq=8))
-        ok = ok and torsor_degree(DelPezzoParams(p=2, m=1, e=e, d=d, q_X=1)) == 8
+        ok = ok and torsor_degree(2, 1, e, d) == 8
     report(9, "cover invariants and degree eight", ok)
 
 

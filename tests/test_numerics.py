@@ -4,13 +4,11 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from delpezzo import numerics
 from delpezzo.numerics import (
-    DelPezzoParams,
     cover_identities,
     exact_lower_bound,
     feasibility_region,
@@ -46,34 +44,48 @@ class TestRiemannRoch:
 
 class TestTorsorChiSum:
     def test_degree_one_example(self):
-        assert torsor_chi_sum(DelPezzoParams(p=2, m=1, e=0, d=1, q_X=1)) == 1
+        assert torsor_chi_sum(2, 1, 1, 1) == 1
 
     def test_degree_two_example(self):
-        assert torsor_chi_sum(DelPezzoParams(p=2, m=1, e=1, d=2, q_X=1)) == 2
+        assert torsor_chi_sum(2, 1, 2, 1) == 2
 
     def test_odd_characteristic_against_inline_sum(self):
-        params = DelPezzoParams(p=3, m=1, e=0, d=2, q_X=0)
-        value = torsor_chi_sum(params)
-        # independent route: chi p + (d/2) sum_i (m^2 i^2 + m i)
-        brute = params.chi_X * 3 + Fraction(2, 2) * sum(i * i + i for i in range(3))
+        value = torsor_chi_sum(3, 1, 2, 0)
+        # independent route: chi p + (d/2) sum_i (m^2 i^2 + m i), chi = 1 - q_X
+        brute = (1 - 0) * 3 + Fraction(2, 2) * sum(i * i + i for i in range(3))
         assert value == brute == 11
 
     def test_exhaustive_agreement(self):
         for p in (2, 3, 5, 7, 11, 13):
             for m in range(1, 11):
                 for d in range(1, 21):
-                    torsor_chi_sum(DelPezzoParams(p=p, m=m, e=0, d=d, q_X=0))
+                    torsor_chi_sum(p, m, d, 0)
+
+
+def fraction_main_equation(p, m, e, d, q_X):
+    """q_Z from p^e (1 - q_Z) = p - p q_X + m p (p-1) d (3 + m(2p-1)) / 12
+    in exact fractions; None unless it is a nonnegative integer."""
+    rhs = Fraction(p - p * q_X) + Fraction(m * p * (p - 1) * d * (3 + m * (2 * p - 1)), 12)
+    q_Z = 1 - rhs / p ** e
+    return int(q_Z) if q_Z.denominator == 1 and q_Z >= 0 else None
+
+
+def test_closed_form_term_is_integral():
+    # 12 | m p (p-1) (3 + m(2p-1)) for every integer p >= 2, composites included
+    for p in range(2, 201):
+        for m in range(1, 51):
+            assert m * p * (p - 1) * (3 + m * (2 * p - 1)) % 12 == 0, (p, m)
 
 
 class TestMainEquation:
     def test_degree_one_solution(self):
-        assert main_equation(DelPezzoParams(p=2, m=1, e=0, d=1, q_X=1)) == 0
+        assert main_equation(2, 1, 0, 1, 1) == 0
 
     def test_degree_two_solution(self):
-        assert main_equation(DelPezzoParams(p=2, m=1, e=1, d=2, q_X=1)) == 0
+        assert main_equation(2, 1, 1, 2, 1) == 0
 
     def test_degree_three_infeasible(self):
-        result = main_equation(DelPezzoParams(p=2, m=1, e=0, d=3, q_X=1))
+        result = main_equation(2, 1, 0, 3, 1)
         assert result is None
 
     def test_solutions_match_the_scan(self):
@@ -82,30 +94,37 @@ class TestMainEquation:
             for m in range(1, 7):
                 for e in (0, 1):
                     for d in range(1, 21):
-                        q_Z = main_equation(DelPezzoParams(p=p, m=m, e=e, d=d, q_X=1))
+                        q_Z = main_equation(p, m, e, d, 1)
                         if (p, m, e, d) in hits:
                             assert q_Z == 0
                         else:
                             assert q_Z is None
 
+    def test_integer_route_matches_the_fraction_formula(self):
+        """Every q_X, not only q_X = 1: the integer solution and the Fraction
+        formula it replaced agree on None and on every integer value."""
+        solved = 0
+        for p in (2, 3, 5, 7, 11, 13, 97):
+            for m in range(1, 8):
+                for e in (0, 1):
+                    for d in range(1, 30):
+                        for q_X in range(60):
+                            q_Z = main_equation(p, m, e, d, q_X)
+                            assert q_Z == fraction_main_equation(p, m, e, d, q_X)
+                            solved += q_Z is not None
+        # 10,542 of the 170,520 cells solve, so both outcomes are compared
+        assert solved == 10542
+
 
 class TestTorsorDegree:
     def test_degree_eight_covers(self):
-        assert torsor_degree(DelPezzoParams(p=2, m=1, e=0, d=1, q_X=1)) == 8
-        assert torsor_degree(DelPezzoParams(p=2, m=1, e=1, d=2, q_X=1)) == 8
+        assert torsor_degree(2, 1, 0, 1) == 8
+        assert torsor_degree(2, 1, 1, 2) == 8
 
     def test_formula_at_degenerate_twist(self):
-        # m = 0 is outside the parameter invariants but the formula itself
-        # degenerates to p^(1-e) d
-        assert torsor_degree(SimpleNamespace(p=2, m=0, e=0, d=5)) == 10
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            DelPezzoParams(p=4, m=1, e=0, d=1, q_X=1)
-        with pytest.raises(ValueError):
-            DelPezzoParams(p=2, m=0, e=0, d=1, q_X=1)
-        with pytest.raises(ValueError):
-            DelPezzoParams(p=2, m=1, e=2, d=1, q_X=1)
+        # m = 0 is no twist exponent, but the formula itself degenerates
+        # to p^(1-e) d
+        assert torsor_degree(2, 0, 0, 5) == 10
 
 
 class TestSolveQ1:

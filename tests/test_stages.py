@@ -3,10 +3,11 @@ singular scan, one normal form per Jacobian entry, one division by h per
 distinct nonzero minor coordinate and one variable table per (chart,
 depth); no product by one and no computed pivot column in the
 presentation's elimination; cusp sums over the larger denominator where
-one divides the other.  Also the negative controls of
-the presentation, singular-locus, cusp, fibre-injectivity and reducedness
-witness checks, and a check that every name the benchmark's tracer wraps
-still exists."""
+one divides the other; primality tests in the numerics suite only for
+the primes its scans and tables visit.  Also the negative controls of
+the presentation, singular-locus, cusp, fibre-injectivity and
+reducedness witness checks, and a check that every name the benchmark's
+tracer wraps still exists."""
 
 import hashlib
 import importlib
@@ -16,7 +17,7 @@ import runpy
 
 import pytest
 
-from delpezzo import algebra, cli, quotient, surfaces
+from delpezzo import algebra, cli, numerics, quotient, surfaces
 from delpezzo.algebra import Derivation, ParamRational, SparsePoly, VarTable, parse
 from delpezzo.quotient import BaseRingS, Presentation, to_module_vector, verify_presentation
 from delpezzo.surfaces import (
@@ -231,6 +232,19 @@ class TestStageCounts:
         loaded = cli.load_presentation(json.loads(path.read_text(encoding="utf-8")))
         assert loaded == build_presentation(1)
         assert distinct == []
+
+    def test_numerics_suite_tests_only_the_visited_primes(self, monkeypatch):
+        orig, tested = numerics.is_prime, []
+
+        def counted(n):
+            tested.append(n)
+            return orig(n)
+        monkeypatch.setattr(numerics, "is_prime", counted)
+        checks = numerics.numerics_suite()
+        assert checks and all(c.passed for c in checks)
+        # 2..13 in solve_q1 and in scan_is_conclusive, then the three
+        # feasibility tables; the 1,200-triple chi sweep tests none
+        assert tested == [*range(2, 14), *range(2, 14), 2, 3, 5]
 
 
 class TestTableInterning:
