@@ -13,8 +13,8 @@ degree identity of ``cover_identities``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .reports import CheckResult, check
 
@@ -148,8 +148,7 @@ def exact_lower_bound(p: int, m: int, e: int, d: int) -> Fraction:
 ATTAINED = {(1, 1), (2, 1)}
 
 
-@dataclass(frozen=True)
-class FeasibilityTable:
+class FeasibilityTable(NamedTuple):
     """(d, q) pairs of a prime p, 1 <= d <= len(q_min_by_d), 1 <= q <= q_max.
     ``cells`` and ``to_csv`` decide each pair by 6q >= d(p^2 - 1) itself, a
     route independent of the stored minima that ``to_json`` reports."""

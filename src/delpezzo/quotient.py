@@ -18,8 +18,9 @@ Gaussian elimination over Frac(S) (``SFraction``, an ``algebra.RingFraction``)
 and denominators are cleared afterwards, so every returned coordinate
 lies in S and the matrix identity mat * v = 0 is rechecked exactly.
 
-``Presentation`` carries the expected generators, relations and embedding
-of the quotient ring; ``verify_presentation`` certifies them against the
+``Presentation``, an immutable ``NamedTuple`` like every record of the
+package, carries the expected generators, relations and embedding of the
+quotient ring; ``verify_presentation`` certifies them against the
 computed kernel and, from the same kernel, checks the degree of the
 factorisation tower, so each presentation's matrix and kernel are
 computed once.  The normal form of the quotient ring is ``TTable``, the
@@ -36,8 +37,8 @@ shows by Gauss's lemma that divisibility by h survives).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .algebra import (
     GeomPoly,
@@ -278,8 +279,7 @@ def _clear_denominators(coords) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class Presentation:
+class Presentation(NamedTuple):
     """Named generators and relations of a quotient chart ring, with the
     embedding of each generator into the double cover's chart ring."""
 
@@ -287,7 +287,7 @@ class Presentation:
     generators: list[str]
     relations: dict[str, GeomPoly]
     embedding: dict[str, GeomPoly]
-    table: VarTable = field(repr=False)
+    table: VarTable
 
     @property
     def u_names(self):

@@ -1,12 +1,12 @@
-"""Uniform pass/fail records produced by the verification routines."""
+"""Uniform pass/fail records produced by the verification routines; like
+every record of the package, ``CheckResult`` is an immutable ``NamedTuple``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named exact check; witness carries the interesting payload."""
 
     name: str

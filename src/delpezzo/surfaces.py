@@ -21,7 +21,8 @@ h = a0 + a1*u1^2 + a2*u2^2 + a3*u3^2 of the singular locus via 4x4
 Jacobian minors, the cuspidal curve hiding inside that locus (computed at
 parameter root depth 3), and the explicit witness that the deg1 quotient
 is geometrically reduced.  No check carries a tolerance; everything is an
-identity in polynomial or rational arithmetic.
+identity in polynomial or rational arithmetic.  The chart, foliation and
+cusp records are immutable ``NamedTuple``s.
 
 Each stage runs once per chart: ``chart_table`` hands out one table per
 (chart, depth), and ``singular_locus`` takes each Jacobian entry, normal
@@ -30,8 +31,8 @@ form and reduction once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .algebra import (
     GEOM,
@@ -87,8 +88,7 @@ def chart_table(i0: int = 0, depth: int = 0) -> VarTable:
     return _CHART_TABLES[key]
 
 
-@dataclass
-class QuadricChart:
+class QuadricChart(NamedTuple):
     """One affine chart of the quadric: the chart relation q and the
     homogeneous form Q it dehomogenises."""
 
@@ -117,8 +117,7 @@ class QuadricChart:
         return check(f"dehomogenisation[chart{self.i0}]", ok)
 
 
-@dataclass
-class FoliationSpec:
+class FoliationSpec(NamedTuple):
     """A foliation generator on one chart, as an explicit derivation."""
 
     kind: str
@@ -388,8 +387,7 @@ def _undivided(minors, reduce, divisor) -> list:
     return [index for index, minor in minors if any(fails.get(c) for c in minor.coords)]
 
 
-@dataclass
-class CuspReport:
+class CuspReport(NamedTuple):
     """Data of the cuspidal curve in the singular locus, at root depth 3."""
 
     root_depth: int
@@ -400,23 +398,6 @@ class CuspReport:
     cramer_a1: list[list[SparsePoly]]
     det_a: SparsePoly
     det_a1: SparsePoly
-
-
-def _cubic_coefficients(poly: GeomPoly, table: VarTable, t_name: str, u_name: str):
-    """Split t^2 + c0 + c1 u + c2 u^2 + c3 u^3 into its four u-coefficients."""
-    t_idx = table.index(t_name)
-    u_idx = table.index(u_name)
-    coeffs = [ParamRational.zero(table) for _ in range(4)]
-    for exp, c in poly.terms.items():
-        if exp[t_idx]:
-            if exp[t_idx] != 2 or sum(exp) != 2:
-                raise ArithmeticError("unexpected t-monomial in the cubic reduction")
-            continue
-        j = exp[u_idx]
-        if sum(exp) != j or j > 3:
-            raise ArithmeticError("reduction is not a cubic in the curve coordinate")
-        coeffs[j] = coeffs[j] + c
-    return coeffs
 
 
 def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
@@ -457,9 +438,11 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
 
     c = {}
     for i in (1, 2, 3):
-        reduced = pres.relations[f"r_{i}"].substituted(locus_subs)
-        for j, value in enumerate(_cubic_coefficients(reduced, table, f"t{i}", "u1")):
-            c[(i, j)] = value
+        t_square = GeomPoly.var(table, f"t{i}") ** 2
+        cubic = pres.relations[f"r_{i}"].substituted(locus_subs) - t_square
+        c.update({(i, j): cubic.coefficient({"u1": j}) for j in range(4)})
+        if cubic != sum(((u1 ** j).scaled(c[(i, j)]) for j in range(4)), GeomPoly.zero(table)):
+            raise ArithmeticError(f"r_{i} on the locus is not t{i}^2 plus a cubic in u1")
 
     for i in (2, 3):
         out.append(check(f"constant_term_vanishes[c{i}0]", c[(i, 0)].is_zero(),

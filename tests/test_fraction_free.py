@@ -11,7 +11,6 @@ product by one is the other factor, as both routes would build it."""
 import random
 import signal
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -352,7 +351,7 @@ class TestSoundnessGuards:
             table = pres.table
             odd = GeomPoly.monomial(table, {"u1": 1, "t1": 1}, ParamRational(
                 SparsePoly.var(table, "a0"), SparsePoly.var(table, "a1")))
-            return replace(pres, relations=dict(pres.relations, r_4=pres.relations["r_4"] + odd))
+            return pres._replace(relations=dict(pres.relations, r_4=pres.relations["r_4"] + odd))
         monkeypatch.setattr(surfaces, "build_presentation", build)
         self.stops(capsys)
 

@@ -1,8 +1,8 @@
 """Only algebra.py knows how a monomial is stored: the modules built on it
 name no underscore member of algebra (``_raw``, ``_t``, ``_pack``, ...).
 The package's import graph is fixed: the package itself and the GF(2)
-arithmetic in algebra.py import nothing from it, and the integer commands
-never load the geometry."""
+arithmetic in algebra.py import nothing from it, the integer commands
+never load the geometry, and no command loads ``dataclasses``."""
 
 import ast
 import inspect
@@ -104,8 +104,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     report["codes"].append(cli.main(["feasibility", "--p", "7", "--d-max", "9",
                                      "--format", "csv"]))
     report["integer"] = loaded()
+    report["dataclasses"] = ["dataclasses" in sys.modules]
     report["codes"].append(cli.main(["verify", "--suite", "presentation", "--chart", "1"]))
 report["geometry"] = loaded()
+report["dataclasses"].append("dataclasses" in sys.modules)
 print(json.dumps(report))
 """
 
@@ -122,3 +124,5 @@ def test_integer_commands_load_no_geometry():
     assert report["codes"] == [0, 0, 0]
     geometry = {"delpezzo.algebra", "delpezzo.quotient", "delpezzo.surfaces"}
     assert geometry <= set(report["geometry"])
+    # records are NamedTuples, so no command pays for importing dataclasses
+    assert report["dataclasses"] == [False, False]

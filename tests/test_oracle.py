@@ -2,7 +2,6 @@
 independent implementation, on seeded random inputs."""
 
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -273,7 +272,7 @@ def test_t_table_of_a_perturbed_relation_is_not_associative():
     pres = build_presentation(0)
     relations = dict(pres.relations)
     relations["r_4"] = relations["r_4"] + parse(pres.table, "u1*t1")
-    bad = replace(pres, relations=relations)
+    bad = pres._replace(relations=relations)
     triples = sympy_associators(bad)
     assert len(triples) == 12
     assert triples == TTable(bad).nonassociative()
@@ -374,7 +373,7 @@ def test_perturbed_t_block_minors_match_a_reduction_by_the_relations():
     pres = build_presentation(0)
     relations = dict(pres.relations)
     relations["r_4"] = relations["r_4"] + parse(pres.table, "u1*t1")
-    bad = replace(pres, relations=relations)
+    bad = pres._replace(relations=relations)
     minors, raw = table_and_raw_minors(bad, 2, range(4, 7), range(3, 6))
     # a t-block minor has t-degree 2, so its reduction is one step and
     # needs no associativity

@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -390,7 +389,7 @@ class TestNormalForm:
         _, _, _, pres = setup
         relations = {n: r for n, r in pres.relations.items() if n != "r_4"}
         with pytest.raises(ArithmeticError, match="the relations rewrite 5 of the 6 t-pairs"):
-            TTable(replace(pres, relations=relations))
+            TTable(pres._replace(relations=relations))
         t1 = SparsePoly.var(pres.table, "t1")
         with pytest.raises(ArithmeticError, match="not t-linear"):
             normal_form(t1 * t1, TTable(pres))

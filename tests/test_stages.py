@@ -341,6 +341,16 @@ class TestNegativeControls:
         assert (len(witness), hashlib.sha256(witness.encode()).hexdigest()) == (
             1824, "97e7615d0865ac35df0cd9c153db307a20fb1b1d43213f1fd17c10e2c4306cba")
 
+    def test_unread_t_square_coefficient_stops_the_cusp(self, monkeypatch, capsys):
+        # r_1 + a0*t1^2 on the locus is (1 + a0)*t1^2 plus a cubic in u1
+        orig = surfaces.build_presentation
+        monkeypatch.setattr(surfaces, "build_presentation",
+                            lambda i0=0, depth=0: perturbed(orig(i0, depth), "r_1", "a0*t1^2"))
+        with pytest.raises(ArithmeticError, match="r_1 on the locus"):
+            surfaces.cusp_curve()
+        assert cli.main(["verify", "--suite", "cusp"]) == 3
+        assert "internal arithmetic error" in capsys.readouterr().err
+
     def test_vanishing_parameter_puts_a_point_on_the_quadric(self, a1_vanishes):
         checks = surfaces.check_fibre_injectivity()
         assert [c.name for c in checks if not c.passed] == ["point_off_quadric[0100]"]
