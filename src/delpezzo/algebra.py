@@ -277,6 +277,11 @@ class _TermMap:
     def zero(cls, table: VarTable):
         return cls._raw(table, {})
 
+    @staticmethod
+    def dot(table: VarTable, pairs):
+        """Sum of products of nonempty ``pairs``, a left fold in pair order."""
+        return sum((x * y for x, y in pairs[1:]), pairs[0][0] * pairs[0][1])
+
     @property
     def terms(self) -> _TermsView:
         return _TermsView(self.table, self._t)
@@ -385,6 +390,34 @@ def _bit(c) -> int:
     return c & 1
 
 
+def _key_sums(a, b, out=None) -> dict:
+    """The product of two GF(2) term maps before cancelling: each key sum
+    k1 + k2, in first-hit order, mapped to its hit count mod 2, XORed into
+    ``out`` when it is given (and then returned)."""
+    out = {} if out is None else out
+    get = out.get
+    for k1 in a:
+        for k2 in b:
+            k = k1 + k2
+            out[k] = get(k, 0) ^ 1
+    return out
+
+
+def dot(table: VarTable, pairs) -> SparsePoly:
+    """The sum of x * y over the (x, y) ``pairs`` of ``SparsePoly`` values on
+    ``table``, every key sum XORed into one map: no product or partial sum is
+    built.  Each pair meets the degree check of ``*``, even if it cancels."""
+    acc, shift = {}, table._deg_shift
+    for x, y in pairs:
+        if (x.table is not table or y.table is not table) and not x.table == table == y.table:
+            raise TableMismatchError("mismatched variable tables")
+        a, b = x._t, y._t
+        if a and b:
+            _check_degree((max(a) >> shift) + (max(b) >> shift))
+            _key_sums(a, b, acc)
+    return SparsePoly._raw(table, {k: 1 for k, c in acc.items() if c})
+
+
 class SparsePoly(_TermMap):
     """Canonical sparse polynomial over GF(2) in the table's variables.
 
@@ -426,7 +459,7 @@ class SparsePoly(_TermMap):
         return cls._raw(table, {_pack_named(table, exps): 1})
 
     def __hash__(self):
-        return hash(frozenset(self._t.items()))
+        return hash(frozenset(self._t))
 
     def __add__(self, other: SparsePoly) -> SparsePoly:
         _same_table(self, other)
@@ -437,6 +470,8 @@ class SparsePoly(_TermMap):
             else:
                 out[key] = 1
         return SparsePoly._raw(self.table, out)
+
+    dot = staticmethod(dot)
 
     def __mul__(self, other: SparsePoly) -> SparsePoly:
         _same_table(self, other)
@@ -506,18 +541,6 @@ class SparsePoly(_TermMap):
         return f"SparsePoly({self})"
 
 
-def _key_sums(a, b) -> dict:
-    """The product of two GF(2) term maps before cancelling: each key sum
-    k1 + k2, in first-hit order, mapped to its hit count mod 2."""
-    out: dict = {}
-    get = out.get
-    for k1 in a:
-        for k2 in b:
-            k = k1 + k2
-            out[k] = get(k, 0) ^ 1
-    return out
-
-
 def _spread(table: VarTable, idxs, exponents) -> tuple:
     """Full-width exponent tuple from the exponents of the listed slots."""
     if len(exponents) != len(idxs):
@@ -584,6 +607,8 @@ class RingFraction:
     save (277 flat products for a presentation that takes 200)."""
 
     __slots__ = ("num", "den")
+
+    dot = staticmethod(_TermMap.dot)
 
     @classmethod
     def _make(cls, num, den):

@@ -26,13 +26,16 @@ factorisation tower, so each presentation's matrix and kernel are
 computed once.  The normal form of the quotient ring is ``TTable``, the
 structure constants of the t-algebra read from the relations:
 ``normal_form`` turns a t-linear value into a ``TValue`` on 1, t_a, t_b,
-t_c, and a product of two of them sends each t-quadratic part through one
-table entry, so no t-quadratic monomial is ever built.  A product of two
-t-linear values is a single lookup and needs no associativity; longer
-products are unique when the table is associative.  The table holds
-flat ``SparsePoly`` values, which ``BaseRingS.pseudo_reduce`` reduces
-fraction-free to a_elim^k times ``reduce`` (``surfaces.singular_locus``
-shows by Gauss's lemma that divisibility by h survives).
+t_c, and a sum of products sends each t-quadratic part through one table
+entry, so no t-quadratic monomial is ever built.  The table product is
+bilinear, so sum_k x_k y_k is the table map of the summed raw parts of
+all its terms: summing first needs no associativity, nor does a product
+of two t-linear values, a single lookup.  Longer products are unique when
+the table is associative, the one premise, which ``TTable.nonassociative``
+alone checks, on two-factor products.  The table holds flat ``SparsePoly``
+values, which ``BaseRingS.pseudo_reduce`` reduces fraction-free to
+a_elim^k times ``reduce`` (``surfaces.singular_locus`` shows by Gauss's
+lemma that divisibility by h survives).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .algebra import (
     RingFraction,
     SparsePoly,
     VarTable,
+    dot,
     pseudo_substitute,
     strip_common_monomial,
 )
@@ -374,47 +378,50 @@ class TTable:
 
 
 class TValue:
-    """c_0 + c_1 t_a + c_2 t_b + c_3 t_c; a product sends each t-quadratic
-    part x_i y_j + x_j y_i (x_i y_i when i = j) through c_ij."""
+    """c_0 + c_1 t_a + c_2 t_b + c_3 t_c, the positions of its nonzero
+    coordinates in ``support``.  ``dot`` takes a sum of products in one pass,
+    sound by bilinearity alone (see the module): ``TTable.nonassociative``
+    alone carries the associativity premise.  A product is one pair."""
 
-    __slots__ = ("table", "coords")
+    __slots__ = ("table", "coords", "support")
 
     def __init__(self, table: TTable, coords):
         self.table, self.coords = table, tuple(coords)
+        self.support = tuple(i for i, c in enumerate(self.coords) if not c.is_zero())
 
     @classmethod
     def zero(cls, table: TTable) -> TValue:
         return cls(table, [table.zero] * 4)
 
     def is_zero(self) -> bool:
-        return all(map(SparsePoly.is_zero, self.coords))
-
-    def __add__(self, other):
-        return TValue(self.table, [b if a.is_zero() else a if b.is_zero() else a + b
-                                   for a, b in zip(self.coords, other.coords)])
+        return not self.support
 
     def __mul__(self, other):
-        parts, quads = ([], [], [], []), {}
-        for i, x in enumerate(self.coords):
-            for j, y in enumerate(other.coords):
-                if x.is_zero() or y.is_zero():
-                    continue
-                if i and j:
-                    quads.setdefault((min(i, j) - 1, max(i, j) - 1), []).append(x * y)
-                else:
-                    parts[i + j].append(x * y)
+        return TValue.dot(self.table, ((self, other),))
+
+    @staticmethod
+    def dot(table: TTable, pairs) -> TValue:
+        """sum_k x_k y_k over nonempty ``pairs``: the t-quadratic parts of all pairs
+        are gathered to meet each c_ij once, and each coordinate is one ``algebra.dot``."""
+        flat, parts, quads = table.pres.table, ([], [], [], []), {}
+        for x, y in pairs:
+            xs, ys = x.coords, y.coords
+            for i in x.support:
+                for j in y.support:
+                    if i and j:
+                        quads.setdefault((min(i, j) - 1, max(i, j) - 1), []).append((xs[i], ys[j]))
+                    else:
+                        parts[i + j].append((xs[i], ys[j]))
         for pair, qs in quads.items():
-            q = sum(qs[1:], qs[0])
-            for part, c in zip(parts, self.table.consts[pair]):
-                if not c.is_zero():
-                    part.append(q * c)
-        return TValue(self.table, [sum(p[1:], p[0]) if p else self.table.zero for p in parts])
+            q = dot(flat, qs)
+            for part, c in zip(parts, table.consts[pair]):
+                part.append((q, c))
+        return TValue(table, [dot(flat, part) if part else table.zero for part in parts])
 
 
 def normal_form(f: SparsePoly, t_table: TTable) -> TValue:
-    """The ``TValue`` of a t-linear flat value f; any other value raises
-    ArithmeticError.  Products of such values are then taken in the table,
-    which is the normal form: no t-quadratic monomial is ever built."""
+    """The ``TValue`` of a t-linear flat value f, whose products are taken
+    in the table; any other value raises ArithmeticError."""
     return TValue(t_table, t_parts(f, t_table.pres))
 
 
@@ -448,35 +455,31 @@ def determinant(mat, zero, rows: tuple | None = None, cols: tuple | None = None,
     first row.  The ring has characteristic 2, so the cofactor signs are
     all +1.
 
-    Entries may be any ring values with ``is_zero``, ``*`` and ``+``.
+    Entries may be any ring values with ``is_zero`` and a static
+    ``dot(table, pairs)``, the ring's sum of products, which takes each
+    cofactor sum: fused for ``SparsePoly`` and ``TValue`` (sound by
+    bilinearity alone, see ``TValue``), a left fold in column order for
+    the fraction types, whose unreduced sums keep their bytes only so.
     Subdeterminants are memoised in ``cache`` under (rows, cols), so
-    callers taking many minors of one matrix share one cache.  Zero
-    entries and zero subdeterminants are skipped, terms are added in
-    column order, and ``zero`` is returned when no term survives.
+    callers taking many minors of one matrix share one cache.  Zero entries
+    and subdeterminants are skipped; with no term left, ``zero`` is returned.
     """
     if rows is None:
         rows = cols = tuple(range(len(mat)))
-    if cache is None:
-        cache = {}
+    cache = {} if cache is None else cache
     key = (rows, cols)
-    got = cache.get(key)
-    if got is not None:
+    if (got := cache.get(key)) is not None:
         return got
     if len(rows) == 1:
         val = mat[rows[0]][cols[0]]
     else:
-        val = None
+        top, rest, pairs = mat[rows[0]], rows[1:], []
         for k, col in enumerate(cols):
-            entry = mat[rows[0]][col]
-            if entry.is_zero():
-                continue
-            sub = determinant(mat, zero, rows[1:], cols[:k] + cols[k + 1:], cache)
-            if sub.is_zero():
-                continue
-            term = entry * sub
-            val = term if val is None else val + term
-        if val is None:
-            val = zero
+            if not (entry := top[col]).is_zero():
+                sub = determinant(mat, zero, rest, cols[:k] + cols[k + 1:], cache)
+                if not sub.is_zero():
+                    pairs.append((entry, sub))
+        val = type(zero).dot(zero.table, pairs) if pairs else zero
     cache[key] = val
     return val
 

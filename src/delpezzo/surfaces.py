@@ -380,11 +380,17 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
 
 def _undivided(minors, reduce, divisor) -> list:
     """Index pairs of the minors, given as (index pair, ``TValue``), with a
-    coordinate that ``divisor`` does not divide once ``reduce`` has taken
-    it into S; one verdict per distinct nonzero coordinate."""
-    nonzero = {c for _, minor in minors for c in minor.coords if not c.is_zero()}
-    fails = {c: exact_divide(reduce(c), divisor) is None for c in nonzero}
-    return [index for index, minor in minors if any(fails.get(c) for c in minor.coords)]
+    coordinate that ``divisor`` does not divide once ``reduce`` has taken it
+    into S; one verdict per distinct nonzero coordinate, one lookup each."""
+    fails, bad = {}, {}
+    for index, minor in minors:
+        for i in minor.support:
+            c = minor.coords[i]
+            if (fail := fails.get(c)) is None:
+                fail = fails[c] = exact_divide(reduce(c), divisor) is None
+            if fail:
+                bad[index] = True
+    return list(bad)
 
 
 class CuspReport(NamedTuple):

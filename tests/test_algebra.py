@@ -15,6 +15,7 @@ from delpezzo.algebra import (
     TableMismatchError,
     VarTable,
     ZeroDenominatorError,
+    dot,
     exact_divide,
     parse,
     root_monomial,
@@ -93,6 +94,12 @@ class TestVarTable:
         t1, t2 = table(), table(depth=1)
         with pytest.raises(TableMismatchError):
             parse(t1, "x1") + parse(t2, "x1")
+        x1, x2 = parse(t1, "x1").as_sparse(), parse(t2, "x1").as_sparse()
+        for on, pair in ((t1, (x1, x2)), (t2, (x1, x1))):
+            with pytest.raises(TableMismatchError):
+                dot(on, [pair])
+        # an equal table that is another object is the same table
+        assert dot(table(), [(x1, x1)]) == x1 * x1
 
 
 class TestPolyMul:

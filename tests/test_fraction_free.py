@@ -230,12 +230,15 @@ class TestTTable:
         pres = build_presentation(chart)
         ring = BaseRingS(pres.table, chart)
         t_table = TTable(pres)
+        one = normal_form(SparsePoly.const(pres.table, 1), t_table)
         quadratic = 0
         for _ in range(25):
             f, g, k = (random_t_linear(rng, pres) for _ in range(3))
             x, y, z = (normal_form(v, t_table) for v in (f, g, k))
             assert (x * (y * z)).coords == ((x * y) * z).coords
-            assert (x + y).coords == t_parts(f + g, pres)
+            # TValue has no +: a sum is the fused x*1 + y*1
+            assert quotient.TValue.dot(t_table, [(x, one), (y, one)]).coords == \
+                t_parts(f + g, pres)
             quadratic += all(any(not c.is_zero() for c in v.coords[1:]) for v in (x, y))
         for f, g, k in [[random_t_linear(rng, pres) for _ in range(3)] for _ in range(3)]:
             x, y, z = (normal_form(v, t_table) for v in (f, g, k))
@@ -287,6 +290,61 @@ class TestTTable:
         assert surfaces._undivided(minors, ring.pseudo_reduce, divisor) == bad
 
 
+def two_factor_product(x, y):
+    """The coordinates of x * y by the per-pair table product the fused sums
+    replaced: every coordinate pair is one ``SparsePoly`` product, and each
+    summed t-quadratic part goes through c_ij on its own."""
+    t_table = x.table
+    parts, quads = ([], [], [], []), {}
+    for i, a in enumerate(x.coords):
+        for j, b in enumerate(y.coords):
+            if a.is_zero() or b.is_zero():
+                continue
+            if i and j:
+                quads.setdefault((min(i, j) - 1, max(i, j) - 1), []).append(a * b)
+            else:
+                parts[i + j].append(a * b)
+    for pair, qs in quads.items():
+        q = sum(qs[1:], qs[0])
+        for part, c in zip(parts, t_table.consts[pair]):
+            part.append(q * c)
+    return tuple(sum(p, t_table.zero) for p in parts)
+
+
+def two_factor_minor(mat, rows, cols, cache):
+    """The coordinates of a minor of ``TValue`` entries by cofactor
+    expansion along the first row, folding ``sum`` of the two-factor
+    products coordinate by coordinate."""
+    if len(rows) == 1:
+        return mat[rows[0]][cols[0]].coords
+    if (rows, cols) not in cache:
+        t_table = mat[0][0].table
+        total = (t_table.zero,) * 4
+        for k, col in enumerate(cols):
+            sub = two_factor_minor(mat, rows[1:], cols[:k] + cols[k + 1:], cache)
+            term = two_factor_product(mat[rows[0]][col], quotient.TValue(t_table, sub))
+            total = tuple(a + b for a, b in zip(total, term))
+        cache[rows, cols] = total
+    return cache[rows, cols]
+
+
+class TestFusedSums:
+    @pytest.mark.parametrize("chart", (0, 1, 2, 3))
+    def test_fused_minors_equal_the_two_factor_fold(self, chart):
+        pres = build_presentation(chart)
+        t_table = TTable(pres)
+        rels = [rel.as_sparse() for rel in pres.relations.values()]
+        values = [[normal_form(e, t_table) for e in row] for row in jacobian(rels, pres.generators)]
+        block = [row[3:] for row in values[4:]]
+        for mat, size, count in ((values, 4, 525), (block, 2, 9)):
+            minors, cache = jacobian_minors(mat, size), {}
+            assert len(minors) == count
+            for (rows, cols), minor in minors:
+                assert minor.coords == two_factor_minor(mat, rows, cols, cache)
+            # the t-block minors are relations, so they vanish in the table
+            assert any(not minor.is_zero() for _, minor in minors) == (size == 4)
+
+
 @contextmanager
 def deadline(seconds: int):
     """Turn a computation still running after ``seconds`` into an error
@@ -302,7 +360,24 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+def watch_products(monkeypatch) -> list:
+    """Record every t-table product, fused sums included, and let it run."""
+    steps = []
+    mul, fused = quotient.TValue.__mul__, quotient.TValue.dot
+    monkeypatch.setattr(quotient.TValue, "__mul__",
+                        lambda x, y: steps.append("mul") or mul(x, y))
+    monkeypatch.setattr(quotient.TValue, "dot", staticmethod(
+        lambda table, pairs: steps.append("dot") or fused(table, pairs)))
+    return steps
+
+
 class TestSoundnessGuards:
+    def test_the_product_watcher_sees_the_scan(self, monkeypatch):
+        # positive control: an unperturbed scan makes both kinds of product
+        steps = watch_products(monkeypatch)
+        assert all(c.passed for c in singular_locus(surfaces.build_presentation(0)))
+        assert "dot" in steps and "mul" in steps
+
     def stops(self, capsys, match=None):
         with deadline(20):
             with pytest.raises(ArithmeticError, match=match):
@@ -324,8 +399,7 @@ class TestSoundnessGuards:
         orig = surfaces.build_presentation
         monkeypatch.setattr(surfaces, "build_presentation",
                             lambda i0=0, depth=0: perturbed(orig(i0, depth), name, monomial))
-        steps = []
-        monkeypatch.setattr(quotient.TValue, "__mul__", lambda x, y: steps.append(x))
+        steps = watch_products(monkeypatch)
         self.stops(capsys, match)
         assert steps == []
         pres = surfaces.build_presentation(0)

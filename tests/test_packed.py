@@ -10,6 +10,7 @@ from delpezzo.algebra import (
     ParamRational,
     SparsePoly,
     VarTable,
+    dot,
     parse,
 )
 
@@ -49,6 +50,19 @@ class TestDegreeLimit:
         with pytest.raises(OverflowError):
             x ** (MAX_DEGREE + 1)
         assert (x ** MAX_DEGREE) == top
+
+    def test_dot(self):
+        x = SparsePoly.var(WIDE, "g0")
+        y = SparsePoly.var(WIDE, "g1")
+        below = SparsePoly.var(WIDE, "g0", MAX_DEGREE - 1)
+        top = dot(WIDE, [(below, x), (y, x)])
+        assert top == below * x + y * x
+        assert top.lead_term()[0] == self.mono(WIDE, g0=MAX_DEGREE)
+        with pytest.raises(OverflowError):
+            dot(WIDE, [(y, x), (below * x, x)])
+        # a product past the limit raises even where the sum cancels it
+        with pytest.raises(OverflowError):
+            dot(WIDE, [(below * x, y), (below * x, y)])
 
     def test_frobenius(self):
         half = SparsePoly.var(WIDE, "g0", (MAX_DEGREE + 1) // 2)

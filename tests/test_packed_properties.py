@@ -1,13 +1,16 @@
 """Properties of the packed monomial keys on random 18-wide exponents."""
 
+import random
+
 import pytest
 
-from delpezzo.algebra import GeomPoly, SparsePoly, _pack, _unpack
+from delpezzo.algebra import GeomPoly, SparsePoly, _pack, _unpack, dot
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from randpoly import make_table, random_sparse  # noqa: E402
 from test_packed import WIDE, WIDTH  # noqa: E402
 
 
@@ -65,3 +68,23 @@ def test_geom_lead_term_and_serialisation_follow_grlex(geom_exps):
     ordered = sorted(set(exp_list), key=grlex_key, reverse=True)
     rows = f.to_json(WIDE.names[4:])
     assert [item["exponents"] for item in rows] == [list(e[4:]) for e in ordered]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 6))
+def test_dot_is_the_sum_of_the_products(seed, n):
+    # random_sparse draws zero factors; a repeated pair cancels, and so do
+    # the products of (x, y), (x, z), (y + z, x) together
+    rng = random.Random(seed)
+    table = make_table()
+    pairs = [(random_sparse(rng, table), random_sparse(rng, table)) for _ in range(n)]
+    if pairs:
+        pairs.append(rng.choice(pairs))
+    x, y, z = (random_sparse(rng, table) for _ in range(3))
+    cancelling = [(x, y), (x, z), (y + z, x)]
+    at = rng.randint(0, len(pairs))
+    pairs[at:at] = cancelling
+    zero = SparsePoly.zero(table)
+    assert dot(table, pairs) == sum((a * b for a, b in pairs), zero)
+    assert dot(table, cancelling) == zero
+    assert dot(table, []) == zero
