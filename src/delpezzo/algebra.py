@@ -277,11 +277,6 @@ class _TermMap:
     def zero(cls, table: VarTable):
         return cls._raw(table, {})
 
-    @staticmethod
-    def dot(table: VarTable, pairs):
-        """Sum of products of nonempty ``pairs``, a left fold in pair order."""
-        return sum((x * y for x, y in pairs[1:]), pairs[0][0] * pairs[0][1])
-
     @property
     def terms(self) -> _TermsView:
         return _TermsView(self.table, self._t)
@@ -390,11 +385,10 @@ def _bit(c) -> int:
     return c & 1
 
 
-def _key_sums(a, b, out=None) -> dict:
-    """The product of two GF(2) term maps before cancelling: each key sum
-    k1 + k2, in first-hit order, mapped to its hit count mod 2, XORed into
-    ``out`` when it is given (and then returned)."""
-    out = {} if out is None else out
+def _key_sums(a, b, out: dict) -> dict:
+    """The one XOR-accumulate loop of every GF(2) product (``dot``, so ``*``,
+    ``pseudo_substitute`` and ``_laurent_product``): each key sum k1 + k2, in
+    first-hit order, XORed as a hit count mod 2 into ``out``, then returned."""
     get = out.get
     for k1 in a:
         for k2 in b:
@@ -405,8 +399,9 @@ def _key_sums(a, b, out=None) -> dict:
 
 def dot(table: VarTable, pairs) -> SparsePoly:
     """The sum of x * y over the (x, y) ``pairs`` of ``SparsePoly`` values on
-    ``table``, every key sum XORed into one map: no product or partial sum is
-    built.  Each pair meets the degree check of ``*``, even if it cancels."""
+    ``table``, every key sum XORed into one map by ``_key_sums``; no product
+    is built.  ``*`` is its one-pair case, so the table and degree checks
+    (``OverflowError`` past ``MAX_DEGREE``, even if a pair cancels) live here."""
     acc, shift = {}, table._deg_shift
     for x, y in pairs:
         if (x.table is not table or y.table is not table) and not x.table == table == y.table:
@@ -474,23 +469,11 @@ class SparsePoly(_TermMap):
     dot = staticmethod(dot)
 
     def __mul__(self, other: SparsePoly) -> SparsePoly:
+        """The one-pair ``dot``; a product by one is the other factor."""
         _same_table(self, other)
-        table = self.table
-        a, b = self._t, other._t
-        if not a or not b:
-            return SparsePoly._raw(table, {})
-        shift = table._deg_shift
-        _check_degree((max(a) >> shift) + (max(b) >> shift))
-        if len(a) < len(b) or a == {0: 1}:
-            a, b = b, a
-        if len(b) == 1:
-            # a monomial factor: keys stay distinct
-            (k2,) = b
-            if k2 == 0:
-                return self if a is self._t else other
-            return SparsePoly._raw(table, {k1 + k2: 1 for k1 in a})
-        # a key hit an even number of times cancels
-        return SparsePoly._raw(table, {k: 1 for k, c in _key_sums(a, b).items() if c})
+        if self._t == {0: 1} or other._t == {0: 1}:
+            return other if self._t == {0: 1} else self
+        return dot(self.table, ((self, other),))
 
     def frobenius(self) -> SparsePoly:
         # c**2 = c in GF(2), so only exponents double
@@ -608,7 +591,10 @@ class RingFraction:
 
     __slots__ = ("num", "den")
 
-    dot = staticmethod(_TermMap.dot)
+    @staticmethod
+    def dot(table: VarTable, pairs):
+        """Sum of products of nonempty ``pairs``, a left fold in pair order."""
+        return sum((x * y for x, y in pairs[1:]), pairs[0][0] * pairs[0][1])
 
     @classmethod
     def _make(cls, num, den):
@@ -781,6 +767,8 @@ class GeomPoly(_TermMap):
     """
 
     __slots__ = ("_lift",)
+
+    dot = staticmethod(RingFraction.dot)
 
     def __init__(self, table: VarTable, terms=()):
         param_mask = table._param_mask
@@ -1042,7 +1030,7 @@ def _laurent_product(a: GeomPoly, b: GeomPoly) -> dict | None:
         return None
     low = (1 << split) - 1
     parts: dict = {}
-    for k, c in _key_sums(fa, fb).items():
+    for k, c in _key_sums(fa, fb, {}).items():
         part = parts.setdefault(k >> split, {})
         if c:
             part[k & low] = 1
@@ -1164,7 +1152,8 @@ def pseudo_substitute(f: SparsePoly, name: str, lead: SparsePoly,
     replaced by ``rest``, for a parameter monomial ``lead`` and a ``rest``
     free of ``name``: the substitution name = rest/lead made fraction-free,
     as in pseudo-division (Knuth, TAOCP vol. 2, 4.6.1).  A term c*m*name^e
-    becomes c*m*lead^(k-e)*rest^e.
+    becomes c*m*lead^(k-e)*rest^e: its shifted key times the terms of rest^e,
+    XORed into one map by ``_key_sums``, the loop of ``dot`` and so of ``*``.
     """
     _same_table(f, rest)
     table, k = f.table, f.degree_in(name)
@@ -1177,9 +1166,7 @@ def pseudo_substitute(f: SparsePoly, name: str, lead: SparsePoly,
     out: dict = {}
     for key in f._t:
         e = (key >> shift) & MAX_DEGREE
-        key += (k - e) * lead_key - e * unit
-        for k2 in powers[e]._t:
-            out[key + k2] = out.get(key + k2, 0) ^ 1
+        _key_sums((key + (k - e) * lead_key - e * unit,), powers[e]._t, out)
     return SparsePoly._raw(table, {key: 1 for key, c in out.items() if c})
 
 

@@ -32,9 +32,8 @@ def is_prime(n: int) -> bool:
 
 def riemann_roch_chi(chi_O: int, D_self: int, D_dot_K: int) -> int:
     """chi(O(D)) = chi(O) + (D.D - D.K)/2 for a divisor on an l.c.i.
-    surface; the difference must be even."""
-    if (D_self - D_dot_K) % 2:
-        raise ValueError("D.(D - K) is odd; chi would not be an integer")
+    surface.  The one caller, ``torsor_chi_sum``, takes D = -imK on X, so
+    D.D - D.K = mi(mi + 1)d is even and the halving is exact."""
     return chi_O + (D_self - D_dot_K) // 2
 
 
@@ -115,9 +114,8 @@ def solve_q1(p_max: int = 13, m_max: int = 20, d_max: int = 100) -> list[tuple[i
 
 def h0_anticanonical(n: int, e: int) -> int:
     """h^0 of the n-th anti-canonical power in the q = 1 family:
-    n(n+1) / 2^(1-e)."""
-    if n < 1 or e not in (0, 1):
-        raise ValueError("need n >= 1 and e in {0, 1}")
+    n(n+1) / 2^(1-e) for n >= 1 and e in {0, 1}, the values that
+    ``numerics_suite`` passes."""
     # n(n+1) is even, so the division is exact
     return n * (n + 1) // 2 ** (1 - e)
 

@@ -458,8 +458,8 @@ def determinant(mat, zero, rows: tuple | None = None, cols: tuple | None = None,
     Entries may be any ring values with ``is_zero`` and a static
     ``dot(table, pairs)``, the ring's sum of products, which takes each
     cofactor sum: fused for ``SparsePoly`` and ``TValue`` (sound by
-    bilinearity alone, see ``TValue``), a left fold in column order for
-    the fraction types, whose unreduced sums keep their bytes only so.
+    bilinearity alone, see ``TValue``), else the left fold in column order
+    of ``RingFraction.dot``, which alone keeps the bytes of unreduced sums.
     Subdeterminants are memoised in ``cache`` under (rows, cols), so
     callers taking many minors of one matrix share one cache.  Zero entries
     and subdeterminants are skipped; with no term left, ``zero`` is returned.

@@ -1,6 +1,7 @@
 """Properties of the packed monomial keys on random 18-wide exponents."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -70,11 +71,20 @@ def test_geom_lead_term_and_serialisation_follow_grlex(geom_exps):
     assert [item["exponents"] for item in rows] == [list(e[4:]) for e in ordered]
 
 
+def schoolbook(table, pairs):
+    """Reference sum of products: each pair of exponent tuples of the two
+    factors' ``terms`` is added, and each sum is counted mod 2."""
+    counts = Counter(tuple(a + b for a, b in zip(e1, e2))
+                     for x, y in pairs for e1 in x.terms for e2 in y.terms)
+    return SparsePoly(table, {e: n % 2 for e, n in counts.items()})
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(0, 6))
 def test_dot_is_the_sum_of_the_products(seed, n):
     # random_sparse draws zero factors; a repeated pair cancels, and so do
-    # the products of (x, y), (x, z), (y + z, x) together
+    # the products of (x, y), (x, z), (y + z, x) together; zero, one and a
+    # monomial meet a random factor on either side
     rng = random.Random(seed)
     table = make_table()
     pairs = [(random_sparse(rng, table), random_sparse(rng, table)) for _ in range(n)]
@@ -84,7 +94,12 @@ def test_dot_is_the_sum_of_the_products(seed, n):
     cancelling = [(x, y), (x, z), (y + z, x)]
     at = rng.randint(0, len(pairs))
     pairs[at:at] = cancelling
-    zero = SparsePoly.zero(table)
-    assert dot(table, pairs) == sum((a * b for a, b in pairs), zero)
+    zero, one = SparsePoly.zero(table), SparsePoly.const(table, 1)
+    mono = SparsePoly(table, {tuple(rng.randint(0, 2) for _ in table.names[1:]) + (1,): 1})
+    for f in (zero, one, mono):
+        pairs.insert(rng.randint(0, len(pairs)), (f, random_sparse(rng, table)))
+        pairs.insert(rng.randint(0, len(pairs)), (random_sparse(rng, table), f))
+    assert dot(table, pairs) == sum((a * b for a, b in pairs), zero) == schoolbook(table, pairs)
+    assert all(a * b == schoolbook(table, [(a, b)]) for a, b in pairs)
     assert dot(table, cancelling) == zero
     assert dot(table, []) == zero
