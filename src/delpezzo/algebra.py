@@ -33,6 +33,12 @@ The value model has two term maps and one fraction arithmetic:
   form is the unique one of a Laurent polynomial.  A value is lifted at
   most once, as term maps never change, and a product coefficient over a
   monomial is normalised by stripping the common monomial alone.
+* ``Derivation``: images of variables in GF(2)[a][x]; D(f) of a
+  ``SparsePoly`` f is one ``dot`` of its partials by the images.
+
+Only values that can carry a denominator are ``GeomPoly`` (the kernel over
+Frac(S), the cusp, presentation JSON, one evaluation point); the rest
+compute flat and print through ``as_geom``.
 
 Both polynomial types share one monomial layout, known only to this
 module.  A key is one int: a ``FIELD_BITS``-bit field per variable (the
@@ -704,10 +710,6 @@ class ParamRational(RingFraction):
         return cls(SparsePoly.zero(table))
 
     @classmethod
-    def one(cls, table: VarTable) -> ParamRational:
-        return cls(SparsePoly.const(table, 1))
-
-    @classmethod
     def var(cls, table: VarTable, name: str, power: int = 1) -> ParamRational:
         return cls(SparsePoly.var(table, name, power))
 
@@ -796,14 +798,7 @@ class GeomPoly(_TermMap):
 
     @classmethod
     def var(cls, table: VarTable, name: str, power: int = 1) -> GeomPoly:
-        # a parameter name yields the constant with that rational coefficient
-        if table.kind(name) == PARAM:
-            return cls.const(table, ParamRational.var(table, name, power))
-        if power < 0:
-            raise ValueError("variable power must be nonnegative")
-        _check_degree(power)
-        return cls._raw(table, {power * table._units[table.index(name)]:
-                                ParamRational.one(table)})
+        return cls.monomial(table, {name: power})
 
     @classmethod
     def monomial(cls, table: VarTable, exps: dict, coeff=1) -> GeomPoly:
@@ -814,14 +809,6 @@ class GeomPoly(_TermMap):
             if table.kind(name) != GEOM:
                 raise ValueError(f"{name!r} is not a geometric variable")
         return cls._raw(table, {_pack_named(table, exps): c})
-
-    @classmethod
-    def coerce(cls, table: VarTable, value) -> GeomPoly:
-        if isinstance(value, GeomPoly):
-            if value.table is not table and value.table != table:
-                raise TableMismatchError("mismatched variable tables")
-            return value
-        return cls.const(table, value)
 
     def __add__(self, other: GeomPoly) -> GeomPoly:
         _same_table(self, other)
@@ -882,7 +869,10 @@ class GeomPoly(_TermMap):
             idx = table.index(name)
             if table.kinds[idx] != GEOM:
                 raise ValueError(f"{name!r} is not a geometric variable")
-            bound[idx] = GeomPoly.coerce(table, value)
+            if not isinstance(value, GeomPoly):
+                value = GeomPoly.const(table, value)
+            _same_table(self, value)
+            bound[idx] = value
         acc = GeomPoly._raw(table, {})
         for key, c in self._t.items():
             pieces = []
@@ -1080,41 +1070,27 @@ def strip_common_monomial(polys: list[GeomPoly]) -> list[GeomPoly]:
 
 
 class Derivation:
-    """Map from variables to polynomial images, extended by the Leibniz rule.
-
-    Variables without an image map to zero.  Images of parameter variables
-    act on coefficients through the quotient rule; since derivations kill
-    squares, a Frobenius image always derives to zero.
+    """Map from variables to ``SparsePoly`` images, extended by the Leibniz
+    rule: D(f) = sum of df/dv * D(v) over the variables v with an image,
+    one ``dot``.  A parameter is a variable like any other, so no quotient
+    rule is needed, and every partial kills a Frobenius image.
     """
 
-    __slots__ = ("table", "images", "_geom", "_param")
+    __slots__ = ("table", "images")
 
     def __init__(self, table: VarTable, images: dict):
         self.table = table
-        clean = {}
         for name, img in images.items():
             table.index(name)
-            img = GeomPoly.coerce(table, img)
-            if not img.is_zero():
-                clean[name] = img
-        self.images = clean
-        self._geom = tuple((n, img) for n, img in clean.items() if table.kind(n) == GEOM)
-        self._param = tuple((n, img) for n, img in clean.items() if table.kind(n) == PARAM)
+            if type(img) is not SparsePoly:
+                raise TypeError(f"the image of {name} is not a SparsePoly")
+        self.images = {name: img for name, img in images.items() if not img.is_zero()}
 
-    def __call__(self, f: GeomPoly) -> GeomPoly:
+    def __call__(self, f: SparsePoly) -> SparsePoly:
+        if type(f) is not SparsePoly:
+            raise TypeError(f"a derivation acts on SparsePoly values, not {type(f).__name__}")
         _same_table(self, f)
-        table = self.table
-        acc = GeomPoly.zero(table)
-        for name, img in self._geom:
-            acc = acc + f.partial(name) * img
-        # a parameter acts on each coefficient n/d by (n'd - nd')/d^2
-        for key, c in f._t.items():
-            for name, img in self._param:
-                top = c.num.partial(name) * c.den - c.num * c.den.partial(name)
-                if not top.is_zero():
-                    dc = ParamRational._make(top, c.den * c.den)
-                    acc = acc + GeomPoly._raw(table, {key: dc}) * img
-        return acc
+        return dot(self.table, [(f.partial(name), img) for name, img in self.images.items()])
 
 
 def exact_divide(f, g):

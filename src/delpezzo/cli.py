@@ -52,25 +52,26 @@ def suite_checks(suite: str, chart: int) -> list[CheckResult]:
 
 
 def _geometry_checks(suite: str, chart: int) -> list[CheckResult]:
-    """The checks of the geometric stages the suite names."""
+    """The checks of the geometric stages the suite names, each built once."""
     from . import surfaces
     checks: list[CheckResult] = []
-    if suite in ("foliations", "all"):
+    pres = None
+    if suite in ("foliations", "presentation", "all"):
         quad = surfaces.QuadricChart.build(chart)
+        deg1 = surfaces.FoliationSpec.build("deg1", quad)
+    if suite in ("foliations", "all"):
         checks += prefixed("foliations.", [quad.dehomogenisation_check()])
-        for kind in surfaces.FOLIATION_KINDS:
-            fol = surfaces.FoliationSpec.build(kind, quad)
-            checks += prefixed(f"foliations.{kind}.", surfaces.check_p_closure(fol))
-            checks += prefixed(f"foliations.{kind}.", surfaces.check_ideal_preserved(fol))
-            checks += prefixed(f"foliations.{kind}.", surfaces.field_of_constants_check(fol))
+        for fol in (deg1, surfaces.FoliationSpec.build("deg2", quad)):
+            checks += prefixed(f"foliations.{fol.kind}.", surfaces.check_p_closure(fol))
+            checks += prefixed(f"foliations.{fol.kind}.", surfaces.check_ideal_preserved(fol))
+            checks += prefixed(f"foliations.{fol.kind}.", surfaces.field_of_constants_check(fol))
         checks += prefixed("foliations.", surfaces.check_fibre_injectivity(quad.table))
         checks += prefixed("witness.", surfaces.reducedness_witness())
     if suite in ("presentation", "all"):
-        fol = surfaces.FoliationSpec.build("deg1", surfaces.QuadricChart.build(chart))
-        _, pres_checks = surfaces.quotient_presentation(fol)
+        pres, pres_checks = surfaces.quotient_presentation(deg1)
         checks += prefixed("presentation.", pres_checks)
     if suite in ("singular", "all"):
-        pres = surfaces.build_presentation(chart)
+        pres = pres or surfaces.build_presentation(chart)
         checks += prefixed("singular.", surfaces.singular_locus(pres))
     if suite in ("cusp", "all"):
         # the cusp pipeline is specified on chart 0 only

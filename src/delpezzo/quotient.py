@@ -146,7 +146,8 @@ def derivation_matrix(delta, ring: BaseRingS):
 
     S-linearity is verified first: the derivation must kill every
     parameter.  The squares u_m = x_m^2 need no test, as over GF(2) any
-    derivation sends x^2 to 2x*delta(x) = 0.
+    derivation sends x^2 to 2x*delta(x) = 0.  The derivation acts on each
+    flat basis monomial; ``to_module_vector`` reads the image as a GeomPoly.
     """
     table = ring.table
     for i in table.param_indices:
@@ -154,7 +155,7 @@ def derivation_matrix(delta, ring: BaseRingS):
         if name in delta.images:
             raise DerivationNotLinearError(
                 f"derivation does not kill the parameter {name}")
-    cols = [to_module_vector(delta(basis_monomial(ring, j)), ring)
+    cols = [to_module_vector(delta(basis_monomial(ring, j).as_sparse()).as_geom(), ring)
             for j in range(8)]
     return [[cols[j][i] for j in range(8)] for i in range(8)]
 
@@ -525,7 +526,9 @@ def verify_presentation(pres: Presentation, ring: BaseRingS, delta) -> list[Chec
     the four claimed generators (both change-of-basis determinants are
     nonzero); and the tower checks of ``frobenius_factorization_check``
     on that same kernel.  The derivation matrix and its kernel are
-    computed once.
+    computed once.  The derivation acts on flat values, so an embedding
+    image with a rational coefficient raises ArithmeticError (exit 3 from
+    the command line) rather than reporting a FAIL.
     """
     checks = []
     table = pres.table
@@ -536,9 +539,9 @@ def verify_presentation(pres: Presentation, ring: BaseRingS, delta) -> list[Chec
         checks.append(check(f"relation_vanishes[{name}]", ok,
                             None if ok else "image=(" + ", ".join(map(str, vec)) + ")"))
     for gname in pres.generators:
-        img = delta(pres.embedding[gname])
+        img = delta(pres.embedding[gname].as_sparse())
         checks.append(check(f"embedding_killed[{gname}]", img.is_zero(),
-                            None if img.is_zero() else f"image={img}"))
+                            None if img.is_zero() else f"image={img.as_geom()}"))
     mat = derivation_matrix(delta, ring)
     kern = kernel_basis(mat, ring)
     checks.append(check("kernel_rank", len(kern) == 4, f"rank={len(kern)}"))

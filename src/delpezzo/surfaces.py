@@ -21,8 +21,10 @@ h = a0 + a1*u1^2 + a2*u2^2 + a3*u3^2 of the singular locus via 4x4
 Jacobian minors, the cuspidal curve hiding inside that locus (computed at
 parameter root depth 3), and the explicit witness that the deg1 quotient
 is geometrically reduced.  No check carries a tolerance; everything is an
-identity in polynomial or rational arithmetic.  The chart, foliation and
-cusp records are immutable ``NamedTuple``s.
+identity in polynomial or rational arithmetic.  The foliation checks run
+on flat ``SparsePoly`` values, as both derivations send each variable to a
+polynomial, and print through ``as_geom``; only the reducedness witness's
+evaluation point is rational.  The records are immutable ``NamedTuple``s.
 
 Each stage runs once per chart: ``chart_table`` hands out one table per
 (chart, depth), and ``singular_locus`` takes each Jacobian entry, normal
@@ -43,6 +45,7 @@ from .algebra import (
     SparsePoly,
     VarTable,
     exact_divide,
+    pseudo_substitute,
     root_monomial,
 )
 from .quotient import (
@@ -90,31 +93,32 @@ def chart_table(i0: int = 0, depth: int = 0) -> VarTable:
 
 class QuadricChart(NamedTuple):
     """One affine chart of the quadric: the chart relation q and the
-    homogeneous form Q it dehomogenises."""
+    homogeneous form Q it dehomogenises, both flat in GF(2)[a][X, x]."""
 
     table: VarTable
     i0: int
-    q: GeomPoly
-    Q: GeomPoly
+    q: SparsePoly
+    Q: SparsePoly
 
     @classmethod
     def build(cls, i0: int = 0, depth: int = 0) -> "QuadricChart":
         table = chart_table(i0, depth)
-        alpha = {i: alpha_value(table, i) for i in range(4)}
-        q = GeomPoly.const(table, alpha[i0])
+        alpha = {i: alpha_value(table, i).num for i in range(4)}
+        q = alpha[i0]
         for m in others(i0):
-            q = q + (GeomPoly.var(table, f"x{m}") ** 2).scaled(alpha[m])
-        Q = GeomPoly.zero(table)
+            q = q + alpha[m] * SparsePoly.var(table, f"x{m}", 2)
+        Q = SparsePoly.zero(table)
         for i in range(4):
-            Q = Q + (GeomPoly.var(table, f"X{i}") ** 2).scaled(alpha[i])
+            Q = Q + alpha[i] * SparsePoly.var(table, f"X{i}", 2)
         return cls(table=table, i0=i0, q=q, Q=Q)
 
     def dehomogenisation_check(self) -> CheckResult:
-        bindings = {f"X{self.i0}": 1}
+        """Q at X_i0 = 1, X_m = x_m is q; lead 1 makes pseudo_substitute plain."""
+        one = SparsePoly.const(self.table, 1)
+        image = pseudo_substitute(self.Q, f"X{self.i0}", one, one)
         for m in others(self.i0):
-            bindings[f"X{m}"] = GeomPoly.var(self.table, f"x{m}")
-        ok = self.Q.substituted(bindings) == self.q
-        return check(f"dehomogenisation[chart{self.i0}]", ok)
+            image = pseudo_substitute(image, f"X{m}", one, SparsePoly.var(self.table, f"x{m}"))
+        return check(f"dehomogenisation[chart{self.i0}]", image == self.q)
 
 
 class FoliationSpec(NamedTuple):
@@ -131,14 +135,14 @@ class FoliationSpec(NamedTuple):
         table = chart.table
         images = {}
         for m in others(chart.i0):
-            x = GeomPoly.var(table, f"x{m}")
+            x = SparsePoly.var(table, f"x{m}")
             images[f"x{m}"] = x + x * x
         if kind == "deg2":
-            envelope = GeomPoly.one(table)
+            envelope = SparsePoly.const(table, 1)
             for m in others(chart.i0):
-                envelope = envelope + GeomPoly.var(table, f"x{m}")
+                envelope = envelope + SparsePoly.var(table, f"x{m}")
             for k in range(4):
-                images[f"a{k}"] = envelope.scaled(alpha_value(table, k))
+                images[f"a{k}"] = alpha_value(table, k).num * envelope
         return cls(kind=kind, chart=chart, theta=Derivation(table, images))
 
 
@@ -151,21 +155,22 @@ def check_p_closure(fol: FoliationSpec) -> list[CheckResult]:
     names = [f"x{m}" for m in others(fol.chart.i0)] + [f"a{k}" for k in range(4)]
     out = []
     for name in names:
-        once = theta(GeomPoly.var(table, name))
+        once = theta(SparsePoly.var(table, name))
         twice = theta(once)
         diff = twice - once
         out.append(check(f"p_closure[{name}]", diff.is_zero(),
-                         None if diff.is_zero() else f"difference={diff}"))
+                         None if diff.is_zero() else f"difference={diff.as_geom()}"))
     return out
 
 
 def check_ideal_preserved(fol: FoliationSpec) -> list[CheckResult]:
-    """theta(q) must be an exact multiple of q; the witness is the cofactor."""
+    """theta(q) must be an exact multiple of q; the witness is the cofactor.
+    q has content 1, so by Gauss's lemma division in GF(2)[a][x] decides it."""
     image = fol.theta(fol.chart.q)
     cofactor = exact_divide(image, fol.chart.q)
     ok = cofactor is not None
     return [check("ideal_preserved", ok,
-                  f"cofactor={cofactor}" if ok else f"image={image}")]
+                  f"cofactor={cofactor.as_geom()}" if ok else f"image={image.as_geom()}")]
 
 
 def field_of_constants_check(fol: FoliationSpec) -> list[CheckResult]:
@@ -176,19 +181,18 @@ def field_of_constants_check(fol: FoliationSpec) -> list[CheckResult]:
     out = []
     if fol.kind == "deg1":
         for k in range(4):
-            img = theta(GeomPoly.var(table, f"a{k}"))
+            img = theta(SparsePoly.var(table, f"a{k}"))
             out.append(check(f"kills[a{k}]", img.is_zero(),
-                             None if img.is_zero() else f"image={img}"))
+                             None if img.is_zero() else f"image={img.as_geom()}"))
         return out
+    alpha = {i: alpha_value(table, i).num for i in range(4)}
     for i in range(4):
         for j in range(i, 4):
-            prod_ = GeomPoly.const(
-                table, alpha_value(table, i) * alpha_value(table, j))
-            img = theta(prod_)
+            img = theta(alpha[i] * alpha[j])
             out.append(check(f"kills[a{i}*a{j}]", img.is_zero(),
-                             None if img.is_zero() else f"image={img}"))
-    moved = theta(GeomPoly.const(table, alpha_value(table, 0)))
-    out.append(check("moves[a0]", not moved.is_zero(), f"image={moved}"))
+                             None if img.is_zero() else f"image={img.as_geom()}"))
+    moved = theta(alpha[0])
+    out.append(check("moves[a0]", not moved.is_zero(), f"image={moved.as_geom()}"))
     return out
 
 
@@ -204,18 +208,18 @@ def check_fibre_injectivity(table: VarTable | None = None) -> list[CheckResult]:
     if table is None:
         table = chart_table(0)
     out = []
-    X = [GeomPoly.var(table, f"X{i}") for i in range(4)]
+    X = [SparsePoly.var(table, f"X{i}") for i in range(4)]
     for i, j in combinations(range(4), 2):
         minor = X[i] ** 2 * X[j] - X[j] ** 2 * X[i]
         expected = X[i] * X[j] * (X[i] + X[j])
         ok = minor == expected
         out.append(check(f"minor_identity[X{i},X{j}]", ok,
-                         None if ok else f"minor={minor}"))
-    alpha = {i: alpha_value(table, i) for i in range(4)}
+                         None if ok else f"minor={minor.as_geom()}"))
+    alpha = {i: alpha_value(table, i).num for i in range(4)}
     for eps in product((0, 1), repeat=4):
         if not any(eps):
             continue
-        value = ParamRational.zero(table)
+        value = SparsePoly.zero(table)
         for i, bit in enumerate(eps):
             if bit:
                 value = value + alpha[i]
@@ -548,27 +552,27 @@ def reducedness_witness() -> list[CheckResult]:
     l = a0 + a1 x1 + a2 x2 + a3 x3 (symbols denote square roots here).
     The deg1 derivation sends l to l plus the Frobenius-twisted form, and
     evaluating at (0, 0, a0/a3) gives a0 + a0^2/a3 != 0, so l does not
-    divide its own derivative."""
+    divide its own derivative.  Only that point is rational."""
     quad = QuadricChart.build(0, depth=1)
     table = quad.table
     fol = FoliationSpec.build("deg1", quad)
-    b = {i: ParamRational.var(table, f"a{i}") for i in range(4)}
-    x = {m: GeomPoly.var(table, f"x{m}") for m in (1, 2, 3)}
+    b = {i: SparsePoly.var(table, f"a{i}") for i in range(4)}
+    x = {m: SparsePoly.var(table, f"x{m}") for m in (1, 2, 3)}
     out = []
 
-    ell = GeomPoly.const(table, b[0])
+    ell = b[0]
     for m in (1, 2, 3):
-        ell = ell + x[m].scaled(b[m])
+        ell = ell + b[m] * x[m]
     image = fol.theta(ell)
-    expected = ell + GeomPoly.const(table, b[0])
+    expected = ell + b[0]
     for m in (1, 2, 3):
-        expected = expected + (x[m] ** 2).scaled(b[m])
+        expected = expected + b[m] * x[m] ** 2
     out.append(check("derivative_identity", image == expected,
-                     None if image == expected else f"image={image}"))
+                     None if image == expected else f"image={image.as_geom()}"))
 
-    point = {"x1": 0, "x2": 0, "x3": GeomPoly.const(table, b[0] / b[3])}
-    value = image.substituted(point).as_param_rational()
-    expected_value = b[0] + (b[0] * b[0]) / b[3]
+    point = {"x1": 0, "x2": 0, "x3": GeomPoly.const(table, ParamRational(b[0], b[3]))}
+    value = image.as_geom().substituted(point).as_param_rational()
+    expected_value = ParamRational(b[0] * (b[0] + b[3]), b[3])
     out.append(check("evaluation_value", value == expected_value, f"value={value}"))
     out.append(check("evaluation_nonzero", not value.is_zero(), f"value={value}"))
 

@@ -109,11 +109,11 @@ def random_derivation(rng, table, with_params=True):
     images = {}
     geom_names = [table.names[i] for i in table.geom_indices]
     for name in rng.sample(geom_names, rng.randint(1, len(geom_names))):
-        images[name] = random_geom(rng, table, max_terms=2)
+        images[name] = random_sparse(rng, table, max_terms=2)
     if with_params and rng.random() < 0.5:
         param_names = [table.names[i] for i in table.param_indices]
         for name in rng.sample(param_names, rng.randint(1, 2)):
-            images[name] = random_geom(rng, table, max_terms=2)
+            images[name] = random_sparse(rng, table, max_terms=2)
     return Derivation(table, images)
 
 
@@ -162,8 +162,8 @@ def check_leibniz(rng, table, trials):
     count = 0
     for _ in range(trials):
         delta = random_derivation(rng, table)
-        f = random_geom(rng, table)
-        g = random_geom(rng, table)
+        f = random_sparse(rng, table)
+        g = random_sparse(rng, table)
         assert delta(f * g) == delta(f) * g + f * delta(g)
         assert delta(f + g) == delta(f) + delta(g)
         assert delta(f.frobenius()).is_zero()

@@ -29,7 +29,7 @@ from randpoly import (
     check_rational_equivalence,
     check_sparse_ring_axioms,
     make_table,
-    random_geom,
+    random_sparse,
 )
 
 
@@ -39,7 +39,8 @@ def table(depth=0):
 
 
 def theta_p(tbl):
-    return Derivation(tbl, {f"x{m}": parse(tbl, f"x{m} + x{m}^2") for m in (1, 2, 3)})
+    return Derivation(tbl, {f"x{m}": parse(tbl, f"x{m} + x{m}^2").as_sparse()
+                            for m in (1, 2, 3)})
 
 
 def quadric(tbl):
@@ -152,7 +153,7 @@ class TestSubstitute:
     def test_derivative_of_linear_form_at_point(self):
         tbl = table(depth=1)
         ell = parse(tbl, "a0 + a1*x1 + a2*x2 + a3*x3")
-        image = theta_p(tbl)(ell)
+        image = theta_p(tbl)(ell.as_sparse()).as_geom()
         b0 = ParamRational.var(tbl, "a0")
         b3 = ParamRational.var(tbl, "a3")
         value = image.substituted(
@@ -178,35 +179,37 @@ class TestSubstitute:
         tbl = table()
         f = parse(tbl, "a0*x1 + x2")
         with pytest.raises(ValueError, match="not a geometric variable"):
-            f.substituted({"a0": GeomPoly.var(tbl, "a1")})
+            f.substituted({"a0": GeomPoly.var(tbl, "x1")})
+        with pytest.raises(ValueError, match="not a geometric variable"):
+            GeomPoly.var(tbl, "a1")
 
 
 class TestDerive:
     def test_theta_on_coordinate(self):
         tbl = table()
-        assert theta_p(tbl)(parse(tbl, "x1")) == parse(tbl, "x1 + x1^2")
+        assert theta_p(tbl)(parse(tbl, "x1").as_sparse()) == parse(tbl, "x1 + x1^2").as_sparse()
 
     def test_theta_kills_quadric(self):
         tbl = table()
-        assert theta_p(tbl)(quadric(tbl)).is_zero()
+        assert theta_p(tbl)(quadric(tbl).as_sparse()).is_zero()
 
     def test_parameter_scaling_derivation(self):
         tbl = table()
         envelope = parse(tbl, "1 + x1 + x2 + x3")
         theta_a = Derivation(tbl, {
-            f"a{k}": envelope.scaled(ParamRational.var(tbl, f"a{k}"))
+            f"a{k}": envelope.scaled(ParamRational.var(tbl, f"a{k}")).as_sparse()
             for k in range(4)})
         q = quadric(tbl)
-        assert theta_a(q) == envelope * q
+        assert theta_a(q.as_sparse()) == (envelope * q).as_sparse()
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_partial_matches_unit_derivation(self, seed):
         rng = random.Random(106 + seed)
         tbl = make_table()
-        for name in ("x1", "x2", "x3"):
-            unit = Derivation(tbl, {name: GeomPoly.one(tbl)})
+        for name in tbl.names:
+            unit = Derivation(tbl, {name: SparsePoly.const(tbl, 1)})
             for _ in range(20):
-                f = random_geom(rng, tbl)
+                f = random_sparse(rng, tbl)
                 assert f.partial(name) == unit(f)
 
 

@@ -9,6 +9,7 @@ import pytest
 from delpezzo.algebra import (
     GEOM,
     PARAM,
+    Derivation,
     ParamRational,
     SparsePoly,
     VarTable,
@@ -16,7 +17,15 @@ from delpezzo.algebra import (
     parse,
 )
 from delpezzo.quotient import BaseRingS, TTable, jacobian, jacobian_minors, normal_form
-from delpezzo.surfaces import _h_polynomial, build_presentation, cusp_curve, others
+from delpezzo.surfaces import (
+    FoliationSpec,
+    QuadricChart,
+    _h_polynomial,
+    build_presentation,
+    chart_table,
+    cusp_curve,
+    others,
+)
 from randpoly import (
     make_table,
     random_nonzero_geom,
@@ -145,6 +154,61 @@ def test_rational_equality_matches_sympy_cancel(seed):
         assert (a == b) == (diff == 0)
         outcomes.add(a == b)
     assert outcomes == {True, False}
+
+
+def gf2_monomials(expr, syms) -> set:
+    """The exponent tuples of the terms of expr reduced mod 2."""
+    return {m for m, c in sp.Poly(expr, *syms, modulus=2).terms() if c}
+
+
+def random_on(rng, table, names, terms=4, max_exp=3):
+    """A flat polynomial each of whose terms draws exponents for up to three
+    of ``names``."""
+    out = {}
+    for _ in range(terms):
+        exp = [0] * len(table.names)
+        for name in rng.sample(names, min(3, len(names))):
+            exp[table.index(name)] = rng.randint(0, max_exp)
+        out[tuple(exp)] = 1
+    return SparsePoly(table, out)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_flat_derivation_matches_sympy(seed):
+    """D(f) = sum_v dF/dv * IMG_v mod 2, the images of parameters and of
+    geometric variables alike, on the chart-0 table."""
+    rng = random.Random(2700 + seed)
+    table = chart_table(0)
+    syms = symbols(table)
+    params = [table.names[i] for i in table.param_indices]
+    geoms = [table.names[i] for i in table.geom_indices]
+    nonzero = 0
+    for _ in range(20):
+        names = rng.sample(params, rng.randint(1, 4)) + rng.sample(geoms, rng.randint(0, 4))
+        images = {n: random_on(rng, table, list(table.names), rng.randint(0, 3)) for n in names}
+        f = random_on(rng, table, names + rng.sample(geoms, 2), rng.randint(1, 5))
+        ours = Derivation(table, images)(f)
+        fe = sparse_expr(f, syms)
+        ref = sp.Add(*[sp.diff(fe, syms[table.index(n)]) * sparse_expr(img, syms)
+                       for n, img in images.items()])
+        assert set(ours.terms) == gf2_monomials(ref, syms)
+        nonzero += not ours.is_zero()
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize("chart", (0, 1, 2, 3))
+def test_deg2_image_of_the_quadric_is_envelope_times_q(chart):
+    quad = QuadricChart.build(chart)
+    syms = symbols(quad.table)
+    a = [sp.Symbol(f"a{i}") for i in range(4)]
+    x = [sp.Symbol(f"x{m}") for m in others(chart)]
+    q = a[chart] + sp.Add(*[sp.Symbol(f"a{m}") * s ** 2 for m, s in zip(others(chart), x)])
+    envelope = 1 + sp.Add(*x)
+    images = {s: s + s ** 2 for s in x} | {s: s * envelope for s in a}
+    image = sp.Add(*[sp.diff(q, v) * img for v, img in images.items()])
+    ours = FoliationSpec.build("deg2", quad).theta(quad.q)
+    assert set(quad.q.terms) == gf2_monomials(q, syms)
+    assert set(ours.terms) == gf2_monomials(envelope * q, syms) == gf2_monomials(image, syms)
 
 
 def chart_setup(chart):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from delpezzo import algebra
 from delpezzo.algebra import (
     GEOM,
     MAX_DEGREE,
@@ -96,6 +97,18 @@ def test_param_rational_rejects_geometric_variable():
         ParamRational(SparsePoly.const(WIDE, 1), SparsePoly.var(WIDE, "g3"))
 
 
+def test_divided_key_refuses_a_borrowing_difference():
+    """g0 / g1: the key difference is positive, as the g0 field lies above
+    the g1 field, but the g1 field borrows, so g1 does not divide g0; a
+    sign test alone would accept it and send exact division into a descent
+    that never ends."""
+    g0, g1 = (max(SparsePoly.var(WIDE, n)._t) for n in ("g0", "g1"))
+    assert g0 - g1 > 0
+    assert algebra._divided_key(WIDE, g0, g1) is None
+    assert algebra._divided_key(WIDE, g0 + g1, g1) == g0
+    assert algebra._divided_key(WIDE, g1, g0) is None
+
+
 def test_terms_view_is_tuple_keyed_and_read_only():
     f = SparsePoly.var(WIDE, "a0") * SparsePoly.var(WIDE, "g1") + SparsePoly.const(WIDE, 1)
     key = tuple(1 if i in (0, 5) else 0 for i in range(WIDTH))
@@ -110,7 +123,7 @@ def test_terms_view_is_tuple_keyed_and_read_only():
     assert set(g.terms) == {geom_key, (0,) * WIDTH}
     assert g.terms[geom_key] == ParamRational.var(WIDE, "a0") and len(g.terms) == 2
     with pytest.raises(TypeError):
-        g.terms[geom_key] = ParamRational.one(WIDE)
+        g.terms[geom_key] = ParamRational.zero(WIDE)
     assert GeomPoly(WIDE, g.terms) == g
     with pytest.raises(ValueError):
         GeomPoly(WIDE, {key: 1})

@@ -132,7 +132,7 @@ class TestModuleVector:
 
     def test_quadric_image_is_the_defining_relation(self, setup):
         quad, _, ring, _ = setup
-        assert all(c.is_zero() for c in to_module_vector(quad.q, ring))
+        assert all(c.is_zero() for c in to_module_vector(quad.q.as_geom(), ring))
 
     def test_round_trip(self, setup):
         _, _, ring, _ = setup
@@ -180,7 +180,7 @@ class TestDerivationMatrix:
             f = random_x_poly(rng, ring.table)
             mat = derivation_matrix(fol.theta, ring)
             assert matrix_apply(mat, to_module_vector(f, ring)) == \
-                to_module_vector(fol.theta(f), ring)
+                to_module_vector(fol.theta(f.as_sparse()).as_geom(), ring)
 
     def test_non_linear_derivation_reports_generator(self, setup):
         quad, _, ring, _ = setup

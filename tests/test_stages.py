@@ -5,9 +5,10 @@ depth); no product by one and no computed pivot column in the
 presentation's elimination; cusp sums over the larger denominator where
 one divides the other; primality tests in the numerics suite only for
 the primes its scans and tables visit.  Also the negative controls of
-the presentation, singular-locus, cusp, fibre-injectivity and
-reducedness witness checks, and a check that every name the benchmark's
-tracer wraps still exists."""
+the dehomogenisation, p-closure, ideal-preservation, field-of-constants,
+presentation, singular-locus, cusp, fibre-injectivity and reducedness
+witness checks, and a check that every name the benchmark's tracer wraps
+still exists."""
 
 import hashlib
 import importlib
@@ -172,6 +173,32 @@ class TestStageCounts:
         # _content_key is live on the other routes, never inside a flat product
         assert outside and not rescans
 
+    def test_all_suite_builds_each_chart_stage_once(self, monkeypatch):
+        quad_build, fol_build = QuadricChart.build.__func__, surfaces.FoliationSpec.build.__func__
+        pres_build, built = surfaces.build_presentation, {"quad": [], "fol": [], "pres": []}
+
+        def quad(cls, i0=0, depth=0):
+            built["quad"].append((i0, depth))
+            return quad_build(cls, i0, depth)
+
+        def fol(cls, kind, chart):
+            built["fol"].append((kind, chart.i0, chart.table.root_depth))
+            return fol_build(cls, kind, chart)
+
+        def pres(i0=0, depth=0):
+            built["pres"].append((i0, depth))
+            return pres_build(i0, depth)
+        monkeypatch.setattr(QuadricChart, "build", classmethod(quad))
+        monkeypatch.setattr(surfaces.FoliationSpec, "build", classmethod(fol))
+        monkeypatch.setattr(surfaces, "build_presentation", pres)
+        checks = cli.suite_checks("all", 2)
+        assert checks and all(c.passed for c in checks)
+        # chart 2 once for the foliations, the presentation and the singular
+        # scan; the reducedness witness works at depth 1, the cusp at depth 3
+        assert built == {"quad": [(2, 0), (0, 1)],
+                         "fol": [("deg1", 2, 0), ("deg2", 2, 0), ("deg1", 0, 1)],
+                         "pres": [(2, 0), (0, 3)]}
+
     @pytest.mark.parametrize("chart", CHARTS)
     def test_presentation_multiplies_nothing_by_one(self, monkeypatch, chart):
         fol = surfaces.FoliationSpec.build("deg1", QuadricChart.build(chart))
@@ -198,10 +225,12 @@ class TestStageCounts:
         assert checks and all(c.passed for c in checks)
         # a product by one is the other factor, and no pivot column is
         # computed: before, 584 flat products (322 by one) and 76 subtractions;
-        # 200 until derivation_matrix stopped squaring the three coordinates
+        # 200 until derivation_matrix stopped squaring the three coordinates,
+        # 197 until the derivation acted on flat values (9 products on the
+        # basis monomials, 6 on the t-embedding images, each now in one dot)
         assert not any(f.is_one() for pair in flat for f in pair)
         assert not any(f.is_one() for f in routed)
-        assert (len(flat), len(subtractions)) == (197, 50)
+        assert (len(flat), len(subtractions)) == (182, 50)
 
     def test_cusp_sums_over_the_larger_denominator(self):
         report, counts = traced_cusp(divisor_rule=True)
@@ -298,6 +327,18 @@ def perturbed(pres: Presentation, name: str, monomial: str) -> Presentation:
                         embedding=pres.embedding, table=pres.table)
 
 
+def a2_moved():
+    """The chart-0 deg1 foliation with a2 -> a0 added to its theta."""
+    fol = surfaces.FoliationSpec.build("deg1", QuadricChart.build(0))
+    table = fol.chart.table
+    return fol._replace(theta=Derivation(
+        table, {**fol.theta.images, "a2": SparsePoly.var(table, "a0")}))
+
+
+def failed_witnesses(checks) -> dict:
+    return {c.name: c.witness for c in checks if not c.passed}
+
+
 @pytest.fixture
 def a1_vanishes(monkeypatch):
     """``surfaces.alpha_value`` sends the parameter a1 to zero."""
@@ -309,6 +350,33 @@ def a1_vanishes(monkeypatch):
 
 
 class TestNegativeControls:
+    def test_changed_quadric_coefficient_fails_dehomogenisation(self):
+        quad = QuadricChart.build(0)
+        a1, a2, X1 = (SparsePoly.var(quad.table, n) for n in ("a1", "a2", "X1"))
+        # Q with a2*X1^2 in place of a1*X1^2
+        result = quad._replace(Q=quad.Q + (a1 + a2) * X1 ** 2).dehomogenisation_check()
+        assert (result.name, result.passed, result.witness) == (
+            "dehomogenisation[chart0]", False, None)
+
+    def test_parameter_image_fails_p_closure(self):
+        # theta(a2) = a0, and theta(a0) = 0
+        assert failed_witnesses(surfaces.check_p_closure(a2_moved())) == {
+            "p_closure[a2]": "difference=a0"}
+
+    def test_parameter_image_fails_ideal_preservation(self):
+        # theta(q) = dq/da2 * a0, which q does not divide
+        assert failed_witnesses(surfaces.check_ideal_preserved(a2_moved())) == {
+            "ideal_preserved": "image=a0*x2^2"}
+
+    def test_parameter_image_fails_kills(self):
+        assert failed_witnesses(surfaces.field_of_constants_check(a2_moved())) == {
+            "kills[a2]": "image=a0"}
+
+    def test_deg1_derivation_in_the_deg2_slot_fails_moves(self):
+        deg1 = surfaces.FoliationSpec.build("deg1", QuadricChart.build(0))
+        checks = surfaces.field_of_constants_check(deg1._replace(kind="deg2"))
+        assert failed_witnesses(checks) == {"moves[a0]": "image=0"}
+
     def test_zero_derivation_fails_exactly_the_rank_checks(self):
         pres = build_presentation(0)
         ring = BaseRingS(pres.table, 0)

@@ -8,6 +8,7 @@ from delpezzo.algebra import (
     Derivation,
     GeomPoly,
     ParamRational,
+    SparsePoly,
     exact_divide,
     parse,
 )
@@ -72,9 +73,9 @@ class TestFoliationAxioms:
 
     def test_p_closure_negative_control(self):
         tbl = QuadricChart.build(0).table
-        delta = Derivation(tbl, {"x1": GeomPoly.var(tbl, "x1"),
-                                 "x2": GeomPoly.one(tbl)})
-        x2 = GeomPoly.var(tbl, "x2")
+        delta = Derivation(tbl, {"x1": SparsePoly.var(tbl, "x1"),
+                                 "x2": SparsePoly.const(tbl, 1)})
+        x2 = SparsePoly.var(tbl, "x2")
         assert delta(delta(x2)) != delta(x2)
 
     @pytest.mark.parametrize("i0", CHARTS)
@@ -84,18 +85,18 @@ class TestFoliationAxioms:
         deg1 = FoliationSpec.build("deg1", quad)
         assert exact_divide(deg1.theta(quad.q), quad.q).is_zero()
         deg2 = FoliationSpec.build("deg2", quad)
-        envelope = GeomPoly.one(tbl)
+        envelope = SparsePoly.const(tbl, 1)
         for m in range(4):
             if m != i0:
-                envelope = envelope + GeomPoly.var(tbl, f"x{m}")
+                envelope = envelope + SparsePoly.var(tbl, f"x{m}")
         assert exact_divide(deg2.theta(quad.q), quad.q) == envelope
         assert not failures(check_ideal_preserved(deg1))
         assert not failures(check_ideal_preserved(deg2))
 
     def test_ideal_preservation_negative_control(self):
         tbl = QuadricChart.build(0).table
-        not_preserved = parse(tbl, "a0 + x1")
-        delta = Derivation(tbl, {"x1": GeomPoly.one(tbl)})
+        not_preserved = parse(tbl, "a0 + x1").as_sparse()
+        delta = Derivation(tbl, {"x1": SparsePoly.const(tbl, 1)})
         assert exact_divide(delta(not_preserved), not_preserved) is None
 
     def test_field_of_constants(self):
@@ -106,8 +107,8 @@ class TestFoliationAxioms:
         results = {c.name: c for c in field_of_constants_check(deg2)}
         assert results["kills[a0*a1]"].passed
         assert results["moves[a0]"].passed
-        moved = deg2.theta(GeomPoly.const(tbl, ParamRational.var(tbl, "a0")))
-        expected = parse(tbl, "a0 + a0*x1 + a0*x2 + a0*x3")
+        moved = deg2.theta(SparsePoly.var(tbl, "a0"))
+        expected = parse(tbl, "a0 + a0*x1 + a0*x2 + a0*x3").as_sparse()
         assert moved == expected
 
 
