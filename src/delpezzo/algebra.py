@@ -36,9 +36,9 @@ The value model has two term maps and one fraction arithmetic:
 * ``Derivation``: images of variables in GF(2)[a][x]; D(f) of a
   ``SparsePoly`` f is one ``dot`` of its partials by the images.
 
-Only values that can carry a denominator are ``GeomPoly`` (the kernel over
-Frac(S), the cusp, presentation JSON, one evaluation point); the rest
-compute flat and print through ``as_geom``.
+Only values that can carry a denominator are ``GeomPoly`` (S-values over
+GF(2)(a), the kernel, the cusp, presentation JSON, one evaluation point);
+the rest compute flat and print through ``as_geom``.
 
 Both polynomial types share one monomial layout, known only to this
 module.  A key is one int: a ``FIELD_BITS``-bit field per variable (the
@@ -251,12 +251,6 @@ class _TermsView(Mapping):
 
     def __len__(self):
         return len(self._t)
-
-    def items(self):
-        """The (exponent tuple, coefficient) pairs as a list, unpacking
-        each key once."""
-        table = self._table
-        return [(_unpack(table, key), c) for key, c in self._t.items()]
 
     def __repr__(self):
         return repr(dict(self.items()))
@@ -509,12 +503,16 @@ class SparsePoly(_TermMap):
                            for item in data})
 
     def as_geom(self) -> GeomPoly:
-        """The same polynomial, parameter monomials moved into coefficients."""
-        parts: dict = {}
-        for exp, c in self.terms.items():
-            geom = tuple(e if kind == GEOM else 0 for e, kind in zip(exp, self.table.kinds))
-            parts.setdefault(geom, {})[tuple(e - g for e, g in zip(exp, geom))] = c
-        return GeomPoly(self.table, {g: SparsePoly(self.table, t) for g, t in parts.items()})
+        """The same polynomial, parameter monomials moved into coefficients:
+        each key splits into its parameter key and the geometric rest."""
+        table, parts = self.table, {}
+        shifts = [table._shifts[i] for i in table.param_indices]
+        for key in self._t:
+            p = key & table._param_mask
+            p |= sum((p >> s) & MAX_DEGREE for s in shifts) << table._deg_shift
+            parts.setdefault(key - p, {})[p] = 1
+        return GeomPoly._raw(table, {g: _laurent_coefficient(table, t, 0, [])
+                                     for g, t in parts.items()})
 
     @staticmethod
     def _unit_coeff(c) -> bool:

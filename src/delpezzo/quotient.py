@@ -5,12 +5,14 @@ ring M = K[x]/(q), a free rank-8 module over the base ring S = K[u]/(r_0)
 with the square-free basis 1, x_a, x_b, x_c, x_a x_b, ..., x_a x_b x_c,
 where u_m stands for x_m^2.  S itself is realised canonically as a
 polynomial ring in two of the u's by eliminating the u with the highest
-index, u_elim, through r_0.  A module vector is the 8-tuple of its
-coordinates, each a canonical S-value: a ``GeomPoly`` free of u_elim.
-Sums, products and scalings of canonical values are canonical, so the one
-reduction is at the rewrite x_m^2 -> u_m in ``to_module_vector``, and
-equality and zero tests on S-values are the polynomial ones.  The ring
-has characteristic 2, so negation is the identity.
+index, u_elim, through r_0: ``BaseRingS.pseudo_reduce`` pseudo-divides a
+flat value, and ``reduce`` reads the result over K.  A module vector is
+the 8-tuple of its coordinates, each a canonical S-value: a ``GeomPoly``
+free of u_elim, its coefficients over powers of a_elim.  Sums, products
+and scalings of canonical values are canonical, so the one reduction is
+at the flat rewrite x_m^2 -> u_m in ``to_module_vector``, and equality
+and zero tests on S-values are the polynomial ones.  The ring has
+characteristic 2, so negation is the identity.
 
 The quotient surface's chart ring is the kernel of the foliation
 derivation acting S-linearly on M.  The kernel is computed by exact
@@ -20,8 +22,8 @@ lies in S and the matrix identity mat * v = 0 is rechecked exactly.
 
 ``Presentation``, an immutable ``NamedTuple`` like every record of the
 package, carries the expected generators, relations and embedding of the
-quotient ring; ``verify_presentation`` certifies them against the
-computed kernel and, from the same kernel, checks the degree of the
+quotient ring, all flat; ``verify_presentation`` certifies them against
+the computed kernel and, from the same kernel, checks the degree of the
 factorisation tower, so each presentation's matrix and kernel are
 computed once.  The normal form of the quotient ring is ``TTable``, the
 structure constants of the t-algebra read from the relations:
@@ -33,9 +35,9 @@ all its terms: summing first needs no associativity, nor does a product
 of two t-linear values, a single lookup.  Longer products are unique when
 the table is associative, the one premise, which ``TTable.nonassociative``
 alone checks, on two-factor products.  The table holds flat ``SparsePoly``
-values, which ``BaseRingS.pseudo_reduce`` reduces fraction-free to
-a_elim^k times ``reduce`` (``surfaces.singular_locus`` shows by Gauss's
-lemma that divisibility by h survives).
+values, which ``BaseRingS.pseudo_reduce`` reduces fraction-free
+(``surfaces.singular_locus`` shows by Gauss's lemma that divisibility by
+h survives).
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ def others(chart: int) -> tuple[int, ...]:
     return tuple(m for m in range(4) if m != chart)
 
 
-def alpha_value(table: VarTable, i: int) -> ParamRational:
+def alpha_value(table: VarTable, i: int) -> SparsePoly:
     """The depth-0 parameter a_i expressed in the table's root symbols."""
-    return ParamRational.var(table, f"a{i}", 2 ** table.root_depth)
+    return SparsePoly.var(table, f"a{i}", 2 ** table.root_depth)
 
 
 class BaseRingS:
@@ -83,7 +85,7 @@ class BaseRingS:
     ring in two u's after eliminating the highest-index one via r_0."""
 
     __slots__ = ("table", "chart", "others", "x_names", "u_names",
-                 "elim_name", "_elim_binding", "_lead", "_rest")
+                 "elim_name", "_lead", "_rest")
 
     def __init__(self, table: VarTable, chart: int):
         self.table = table
@@ -93,20 +95,16 @@ class BaseRingS:
         self.u_names = tuple(f"u{m}" for m in self.others)
         self.elim_name = self.u_names[-1]
         a = {i: alpha_value(table, i) for i in range(4)}
-        elim = self.others[-1]
-        rest = GeomPoly.const(table, a[chart])
-        for m in self.others[:-1]:
-            rest = rest + GeomPoly.var(table, f"u{m}").scaled(a[m])
-        self._elim_binding = {self.elim_name: (-rest).scaled(a[elim].inverse())}
-        self._lead = a[elim].num
-        self._rest = (-rest).as_sparse()
+        self._lead = a[self.others[-1]]
+        self._rest = sum((a[m] * SparsePoly.var(table, f"u{m}") for m in self.others[:-1]),
+                         a[chart])
 
-    def reduce(self, f: GeomPoly) -> GeomPoly:
-        """Canonical representative with the eliminated u substituted away;
-        f itself when it has no term in u_elim, as then it is canonical."""
-        if not f.degree_in(self.elim_name):
-            return f
-        return f.substituted(self._elim_binding)
+    def reduce(self, f: SparsePoly) -> GeomPoly:
+        """The canonical S-value of f: ``pseudo_reduce`` read over K."""
+        if not (k := f.degree_in(self.elim_name)):
+            return f.as_geom()
+        return self.pseudo_reduce(f).as_geom().scaled(
+            ParamRational(SparsePoly.const(self.table, 1), self._lead ** k))
 
     def pseudo_reduce(self, f: SparsePoly) -> SparsePoly:
         """a_elim^k * f reduced mod r_0 without fractions, k the degree of
@@ -115,29 +113,27 @@ class BaseRingS:
         return pseudo_substitute(f, self.elim_name, self._lead, self._rest)
 
 
-def basis_monomial(ring: BaseRingS, slot: int) -> GeomPoly:
-    mono = GeomPoly.one(ring.table)
-    for i in _SUBSETS[slot]:
-        mono = mono * GeomPoly.var(ring.table, ring.x_names[i])
-    return mono
+def basis_monomial(ring: BaseRingS, slot: int) -> SparsePoly:
+    return SparsePoly.monomial(ring.table, {ring.x_names[i]: 1 for i in _SUBSETS[slot]})
 
 
-def to_module_vector(f: GeomPoly, ring: BaseRingS) -> tuple:
+def to_module_vector(f: SparsePoly, ring: BaseRingS) -> tuple:
     """The eight coordinates of f in the square-free basis, rewriting
     x_m^2 -> u_m; the one place u_elim enters, so each is reduced here."""
     table = ring.table
     x_idx = tuple(table.index(n) for n in ring.x_names)
+    u_idx = tuple(table.index(n) for n in ring.u_names)
     foreign = [i for i in table.geom_indices if i not in x_idx]
-    coords = [GeomPoly.zero(table) for _ in range(8)]
-    for exp, c in f.terms.items():
+    coords = [{} for _ in range(8)]
+    for exp in f.terms:
         if any(exp[i] for i in foreign):
             raise ValueError("expected a polynomial in the chart coordinates")
-        x_exps = [exp[i] for i in x_idx]
-        slot = _SLOT_OF[tuple(pos for pos, e in enumerate(x_exps) if e & 1)]
-        u_part = GeomPoly.monomial(
-            table, {u: e >> 1 for u, e in zip(ring.u_names, x_exps)}, c)
-        coords[slot] = coords[slot] + u_part
-    return tuple(ring.reduce(c) for c in coords)
+        slot = _SLOT_OF[tuple(pos for pos, i in enumerate(x_idx) if exp[i] & 1)]
+        u_exp = list(exp)
+        for x, u in zip(x_idx, u_idx):
+            u_exp[x], u_exp[u] = 0, exp[x] >> 1
+        coords[slot][tuple(u_exp)] = 1
+    return tuple(ring.reduce(SparsePoly(table, c)) for c in coords)
 
 
 def derivation_matrix(delta, ring: BaseRingS):
@@ -146,8 +142,7 @@ def derivation_matrix(delta, ring: BaseRingS):
 
     S-linearity is verified first: the derivation must kill every
     parameter.  The squares u_m = x_m^2 need no test, as over GF(2) any
-    derivation sends x^2 to 2x*delta(x) = 0.  The derivation acts on each
-    flat basis monomial; ``to_module_vector`` reads the image as a GeomPoly.
+    derivation sends x^2 to 2x*delta(x) = 0.
     """
     table = ring.table
     for i in table.param_indices:
@@ -155,8 +150,7 @@ def derivation_matrix(delta, ring: BaseRingS):
         if name in delta.images:
             raise DerivationNotLinearError(
                 f"derivation does not kill the parameter {name}")
-    cols = [to_module_vector(delta(basis_monomial(ring, j).as_sparse()).as_geom(), ring)
-            for j in range(8)]
+    cols = [to_module_vector(delta(basis_monomial(ring, j)), ring) for j in range(8)]
     return [[cols[j][i] for j in range(8)] for i in range(8)]
 
 
@@ -290,8 +284,8 @@ class Presentation(NamedTuple):
 
     chart: int
     generators: list[str]
-    relations: dict[str, GeomPoly]
-    embedding: dict[str, GeomPoly]
+    relations: dict[str, SparsePoly]
+    embedding: dict[str, SparsePoly]
     table: VarTable
 
     @property
@@ -310,19 +304,30 @@ class Presentation(NamedTuple):
         return {
             "chart": self.chart,
             "generators": list(self.generators),
-            "relations": [{"name": name, "terms": rel.to_json(self.generators)}
+            "relations": [{"name": name, "terms": rel.as_geom().to_json(self.generators)}
                           for name, rel in self.relations.items()],
-            "embedding": {name: img.to_json(self.x_names)
+            "embedding": {name: img.as_geom().to_json(self.x_names)
                           for name, img in self.embedding.items()},
         }
 
     @classmethod
     def from_json(cls, data: dict, table: VarTable) -> "Presentation":
+        """An entry with a coefficient that is not a polynomial raises ValueError,
+        as does an embedding that does not map exactly the generators."""
         x_names = [f"x{m}" for m in others(data["chart"])]
         generators = list(data["generators"])
-        relations = {item["name"]: GeomPoly.from_json(table, item["terms"], generators)
+        if set(data["embedding"]) != set(generators):
+            raise ValueError("the embedding must map exactly the generators")
+
+        def flat(label, terms, names):
+            geom = GeomPoly.from_json(table, terms, names)
+            try:
+                return geom.as_sparse()
+            except ArithmeticError:
+                raise ValueError(f"{label} has a coefficient that is not a polynomial") from None
+        relations = {item["name"]: flat(f"relation {item['name']}", item["terms"], generators)
                      for item in data["relations"]}
-        embedding = {name: GeomPoly.from_json(table, terms, x_names)
+        embedding = {name: flat(f"embedding image of {name}", terms, x_names)
                      for name, terms in data["embedding"].items()}
         return cls(chart=data["chart"], generators=generators,
                    relations=relations, embedding=embedding, table=table)
@@ -340,11 +345,12 @@ class TTable:
     """Structure constants t_i t_j = c_ij0 + sum_k c_ijk t_k (t-positions
     i <= j) of the rank-4 t-algebra: the normal form of the quotient ring.
 
-    Each c_ij is read straight from the one relation whose only
-    t-quadratic term is the bare monomial c * t_i t_j, as the flat
-    coordinates of (t_i t_j - relation / c) on 1, t_a, t_b, t_c.  A right
-    side that is not t-linear, a t-pair two relations rewrite, or fewer
-    than six t-pairs raise ArithmeticError."""
+    Each c_ij is read straight from the one relation whose t-quadratic
+    part is c * t_i t_j, c in GF(2)[a], as the coordinates of the right
+    side relation + t_i t_j on 1, t_a, t_b, t_c: over GF(2) a bare t_i t_j
+    has coefficient 1, so no division is needed, and any other c raises
+    ArithmeticError.  So do a right side that is not t-linear, a t-pair
+    two relations rewrite, and fewer than six t-pairs."""
 
     __slots__ = ("pres", "consts", "zero")
 
@@ -353,16 +359,17 @@ class TTable:
         t_idx = [table.index(n) for n in pres.t_names]
         self.pres, self.zero, self.consts = pres, SparsePoly.zero(table), {}
         for rel in pres.relations.values():
-            quads = [(exp, c) for exp, c in rel.terms.items()
-                     if sum(exp[i] for i in t_idx) == 2]
-            if len(quads) != 1 or any(e for i, e in enumerate(quads[0][0]) if i not in t_idx):
+            quads = [exp for exp in rel.terms if sum(exp[i] for i in t_idx) == 2]
+            shapes = {tuple(exp[i] for i in table.geom_indices) for exp in quads}
+            if len(shapes) != 1 or sum(shapes.pop()) != 2:
                 continue
-            exp, c = quads[0]
+            exp = quads[0]
             pair = tuple(pos for pos, i in enumerate(t_idx) for _ in range(exp[i]))
             if pair in self.consts:
                 raise ArithmeticError(f"two relations rewrite the t-pair {pair}")
-            rhs = (-(rel - GeomPoly(table, {exp: c}))).scaled(c.inverse())
-            self.consts[pair] = tuple(part.as_sparse() for part in t_parts(rhs, pres))
+            if len(quads) != 1 or sum(exp) != 2:
+                raise ArithmeticError(f"the t-pair {pair} has a coefficient other than 1")
+            self.consts[pair] = t_parts(rel + SparsePoly(table, {exp: 1}), pres)
         if len(self.consts) != 6:
             raise ArithmeticError(f"the relations rewrite {len(self.consts)} of the 6 t-pairs")
 
@@ -526,26 +533,28 @@ def verify_presentation(pres: Presentation, ring: BaseRingS, delta) -> list[Chec
     the four claimed generators (both change-of-basis determinants are
     nonzero); and the tower checks of ``frobenius_factorization_check``
     on that same kernel.  The derivation matrix and its kernel are
-    computed once.  The derivation acts on flat values, so an embedding
-    image with a rational coefficient raises ArithmeticError (exit 3 from
-    the command line) rather than reporting a FAIL.
+    computed once.  The relations, the embedding images and their
+    substitution are flat; only the module coordinates are read over K.
     """
     checks = []
     table = pres.table
+    one = SparsePoly.const(table, 1)
     for name, rel in pres.relations.items():
-        image = rel.substituted(pres.embedding)
+        image = rel
+        for gname, img in pres.embedding.items():
+            image = pseudo_substitute(image, gname, one, img)
         vec = to_module_vector(image, ring)
         ok = all(c.is_zero() for c in vec)
         checks.append(check(f"relation_vanishes[{name}]", ok,
                             None if ok else "image=(" + ", ".join(map(str, vec)) + ")"))
     for gname in pres.generators:
-        img = delta(pres.embedding[gname].as_sparse())
+        img = delta(pres.embedding[gname])
         checks.append(check(f"embedding_killed[{gname}]", img.is_zero(),
                             None if img.is_zero() else f"image={img.as_geom()}"))
     mat = derivation_matrix(delta, ring)
     kern = kernel_basis(mat, ring)
     checks.append(check("kernel_rank", len(kern) == 4, f"rank={len(kern)}"))
-    claimed = [GeomPoly.one(table)] + [pres.embedding[t] for t in pres.t_names]
+    claimed = [one] + [pres.embedding[t] for t in pres.t_names]
     claimed_vecs = [to_module_vector(g, ring) for g in claimed]
     if len(kern) == 4:
         zero = SFraction(GeomPoly.zero(table))

@@ -21,10 +21,10 @@ h = a0 + a1*u1^2 + a2*u2^2 + a3*u3^2 of the singular locus via 4x4
 Jacobian minors, the cuspidal curve hiding inside that locus (computed at
 parameter root depth 3), and the explicit witness that the deg1 quotient
 is geometrically reduced.  No check carries a tolerance; everything is an
-identity in polynomial or rational arithmetic.  The foliation checks run
-on flat ``SparsePoly`` values, as both derivations send each variable to a
-polynomial, and print through ``as_geom``; only the reducedness witness's
-evaluation point is rational.  The records are immutable ``NamedTuple``s.
+identity in polynomial or rational arithmetic.  Foliations, presentation
+and singular scan compute on flat ``SparsePoly`` values, printed through
+``as_geom``; only the cusp, S-values read over K and the reducedness
+point are rational.  The records are immutable ``NamedTuple``s.
 
 Each stage runs once per chart: ``chart_table`` hands out one table per
 (chart, depth), and ``singular_locus`` takes each Jacobian entry, normal
@@ -103,7 +103,7 @@ class QuadricChart(NamedTuple):
     @classmethod
     def build(cls, i0: int = 0, depth: int = 0) -> "QuadricChart":
         table = chart_table(i0, depth)
-        alpha = {i: alpha_value(table, i).num for i in range(4)}
+        alpha = {i: alpha_value(table, i) for i in range(4)}
         q = alpha[i0]
         for m in others(i0):
             q = q + alpha[m] * SparsePoly.var(table, f"x{m}", 2)
@@ -113,12 +113,15 @@ class QuadricChart(NamedTuple):
         return cls(table=table, i0=i0, q=q, Q=Q)
 
     def dehomogenisation_check(self) -> CheckResult:
-        """Q at X_i0 = 1, X_m = x_m is q; lead 1 makes pseudo_substitute plain."""
+        """Q at X_i0 = 1, X_m = x_m is q; lead 1 makes pseudo_substitute plain.
+        A FAIL names the difference of the two."""
         one = SparsePoly.const(self.table, 1)
         image = pseudo_substitute(self.Q, f"X{self.i0}", one, one)
         for m in others(self.i0):
             image = pseudo_substitute(image, f"X{m}", one, SparsePoly.var(self.table, f"x{m}"))
-        return check(f"dehomogenisation[chart{self.i0}]", image == self.q)
+        diff = image + self.q
+        return check(f"dehomogenisation[chart{self.i0}]", diff.is_zero(),
+                     None if diff.is_zero() else f"difference={diff.as_geom()}")
 
 
 class FoliationSpec(NamedTuple):
@@ -142,7 +145,7 @@ class FoliationSpec(NamedTuple):
             for m in others(chart.i0):
                 envelope = envelope + SparsePoly.var(table, f"x{m}")
             for k in range(4):
-                images[f"a{k}"] = alpha_value(table, k).num * envelope
+                images[f"a{k}"] = alpha_value(table, k) * envelope
         return cls(kind=kind, chart=chart, theta=Derivation(table, images))
 
 
@@ -185,7 +188,7 @@ def field_of_constants_check(fol: FoliationSpec) -> list[CheckResult]:
             out.append(check(f"kills[a{k}]", img.is_zero(),
                              None if img.is_zero() else f"image={img.as_geom()}"))
         return out
-    alpha = {i: alpha_value(table, i).num for i in range(4)}
+    alpha = {i: alpha_value(table, i) for i in range(4)}
     for i in range(4):
         for j in range(i, 4):
             img = theta(alpha[i] * alpha[j])
@@ -215,14 +218,11 @@ def check_fibre_injectivity(table: VarTable | None = None) -> list[CheckResult]:
         ok = minor == expected
         out.append(check(f"minor_identity[X{i},X{j}]", ok,
                          None if ok else f"minor={minor.as_geom()}"))
-    alpha = {i: alpha_value(table, i).num for i in range(4)}
+    alpha = {i: alpha_value(table, i) for i in range(4)}
     for eps in product((0, 1), repeat=4):
         if not any(eps):
             continue
-        value = SparsePoly.zero(table)
-        for i, bit in enumerate(eps):
-            if bit:
-                value = value + alpha[i]
+        value = sum((alpha[i] for i, bit in enumerate(eps) if bit), SparsePoly.zero(table))
         ok = not value.is_zero()
         out.append(check(f"point_off_quadric[{''.join(map(str, eps))}]", ok,
                          f"Q={value}"))
@@ -236,16 +236,13 @@ def build_presentation(i0: int = 0, depth: int = 0) -> Presentation:
     table = chart_table(i0, depth)
     n1, n2, n3 = others(i0)
     alpha = {i: alpha_value(table, i) for i in range(4)}
-    u = {m: GeomPoly.var(table, f"u{m}") for m in (n1, n2, n3)}
-    t = {m: GeomPoly.var(table, f"t{m}") for m in (n1, n2, n3)}
-    x = {m: GeomPoly.var(table, f"x{m}") for m in (n1, n2, n3)}
-    one = GeomPoly.one(table)
+    u = {m: SparsePoly.var(table, f"u{m}") for m in (n1, n2, n3)}
+    t = {m: SparsePoly.var(table, f"t{m}") for m in (n1, n2, n3)}
+    x = {m: SparsePoly.var(table, f"x{m}") for m in (n1, n2, n3)}
+    one = SparsePoly.const(table, 1)
 
-    relations: dict[str, GeomPoly] = {}
-    r0 = GeomPoly.const(table, alpha[i0])
-    for m in (n1, n2, n3):
-        r0 = r0 + u[m].scaled(alpha[m])
-    relations["r_0"] = r0
+    relations: dict[str, SparsePoly] = {}
+    relations["r_0"] = sum((alpha[m] * u[m] for m in (n1, n2, n3)), alpha[i0])
     for pos, (i, j, k) in enumerate(
             ((n1, n2, n3), (n2, n1, n3), (n3, n1, n2)), start=1):
         relations[f"r_{pos}"] = t[i] ** 2 + u[j] * u[k] * (one + u[j] + u[k])
@@ -255,7 +252,7 @@ def build_presentation(i0: int = 0, depth: int = 0) -> Presentation:
                                  + (u[i] + u[i] ** 2) * t[i]
                                  + u[i] * u[j] * t[j] + u[i] * u[k] * t[k])
 
-    embedding: dict[str, GeomPoly] = {}
+    embedding: dict[str, SparsePoly] = {}
     for m in (n1, n2, n3):
         embedding[f"u{m}"] = x[m] ** 2
     for i, j, k in ((n1, n2, n3), (n2, n1, n3), (n3, n1, n2)):
@@ -279,10 +276,8 @@ def quotient_presentation(fol: FoliationSpec) -> tuple[Presentation, list[CheckR
 
 
 def _h_polynomial(table: VarTable, i0: int) -> SparsePoly:
-    h = alpha_value(table, i0).num
-    for m in others(i0):
-        h = h + alpha_value(table, m).num * SparsePoly.var(table, f"u{m}", 2)
-    return h
+    return sum((alpha_value(table, m) * SparsePoly.var(table, f"u{m}", 2) for m in others(i0)),
+               alpha_value(table, i0))
 
 
 def singular_locus(pres: Presentation) -> list[CheckResult]:
@@ -306,12 +301,12 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
     lemma iff h' | F in R (if h' c q0 = F with c in K and q0 in R
     primitive, h' q0 is primitive, so c lies in GF(2)[a]), which trial
     division over GF(2) decides.  The argument needs that closed form, so
-    a_e h' is checked against a_e^2 h mod r_0; a mismatch, like a relation
-    with a non-polynomial coefficient, raises ArithmeticError instead of
-    reporting a FAIL.  Only a failing u-block minor goes back to rational
-    coefficients, for its witness.  Of the 4 x 525 coordinates most are 0,
-    which is h' * 0, and the rest repeat few values; as the verdict depends
-    on the value alone, each distinct nonzero one is decided once.
+    a_e h' is checked against a_e^2 h mod r_0; a mismatch raises
+    ArithmeticError instead of reporting a FAIL.  Only a failing u-block
+    minor is read over K (``BaseRingS.reduce``), for its witness.  Of the
+    4 x 525 coordinates most are 0, which is h' * 0, and the rest repeat
+    few values; as the verdict depends on the value alone, each distinct
+    nonzero one is decided once.
 
     The minors are taken in the t-algebra (``TTable``), into which
     ``normal_form`` turns each Jacobian entry once.  If its table is
@@ -328,10 +323,8 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
     i0 = pres.chart
     ring = BaseRingS(table, i0)
     t_table = TTable(pres)
-    rel_names = list(pres.relations)
-    rels = [rel.as_sparse() for rel in pres.relations.values()]
-    alpha = {i: alpha_value(table, i) for i in range(4)}
-    a, e = {i: alpha[i].num for i in range(4)}, others(i0)[-1]
+    rel_names, rels = list(pres.relations), list(pres.relations.values())
+    a, e = {i: alpha_value(table, i) for i in range(4)}, others(i0)[-1]
     closed = sum((a[m] * (a[m] + a[e]) * SparsePoly.var(table, f"u{m}", 2)
                   for m in others(i0)), a[i0] * (a[i0] + a[e]))
     h = _h_polynomial(table, i0)
@@ -360,7 +353,7 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
         ok = ring.pseudo_reduce(minor - expected[rows]).is_zero()
         label = ",".join(rel_names[r] for r in rows)
         out.append(check(f"u_block_minor[{label}]", ok,
-                         None if ok else f"minor={ring.reduce(minor.as_geom())}"))
+                         None if ok else f"minor={ring.reduce(minor)}"))
 
     lower = jacobian_minors([row[3:] for row in values[4:]], 2)
     raw = jacobian_minors([row[3:] for row in jac[4:]], 2)
@@ -372,10 +365,7 @@ def singular_locus(pres: Presentation) -> list[CheckResult]:
                          vanishes, witness))
 
     for eps in product((0, 1), repeat=3):
-        value = alpha[i0]
-        for bit, m in zip(eps, others(i0)):
-            if bit:
-                value = value + alpha[m]
+        value = sum((a[m] for bit, m in zip(eps, others(i0)) if bit), a[i0])
         ok = not value.is_zero()
         out.append(check(f"unit_certificate[{''.join(map(str, eps))}]", ok,
                          f"sum={value}"))
@@ -424,10 +414,11 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
     depth = 3
     pres = build_presentation(0, depth)
     table = pres.table
+    rels = {name: rel.as_geom() for name, rel in pres.relations.items()}
     out = []
 
     sqrt_a = {i: ParamRational(root_monomial(table, f"a{i}", 1)) for i in range(4)}
-    alpha = {i: alpha_value(table, i) for i in range(4)}
+    alpha = {i: ParamRational(alpha_value(table, i)) for i in range(4)}
     u1 = GeomPoly.var(table, "u1")
 
     den = alpha[2] + sqrt_a[2] * sqrt_a[3]
@@ -441,7 +432,7 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
     sqrt_h = GeomPoly.const(table, sqrt_a[0])
     for m in (1, 2, 3):
         sqrt_h = sqrt_h + GeomPoly.var(table, f"u{m}").scaled(sqrt_a[m])
-    for name, rel in (("r_0", pres.relations["r_0"]), ("sqrt_h", sqrt_h)):
+    for name, rel in (("r_0", rels["r_0"]), ("sqrt_h", sqrt_h)):
         image = rel.substituted(locus_subs)
         out.append(check(f"locus_solved[{name}]", image.is_zero(),
                          None if image.is_zero() else f"image={image}"))
@@ -449,7 +440,7 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
     c = {}
     for i in (1, 2, 3):
         t_square = GeomPoly.var(table, f"t{i}") ** 2
-        cubic = pres.relations[f"r_{i}"].substituted(locus_subs) - t_square
+        cubic = rels[f"r_{i}"].substituted(locus_subs) - t_square
         c.update({(i, j): cubic.coefficient({"u1": j}) for j in range(4)})
         if cubic != sum(((u1 ** j).scaled(c[(i, j)]) for j in range(4)), GeomPoly.zero(table)):
             raise ArithmeticError(f"r_{i} on the locus is not t{i}^2 plus a cubic in u1")
@@ -492,7 +483,7 @@ def cusp_curve() -> tuple[CuspReport, list[CheckResult]]:
     # the generator of a principal ideal is a Groebner basis for any order,
     # so exact division decides membership in it
     for m in (4, 5, 6):
-        g = pres.relations[f"r_{m}"].substituted(locus_subs | t_subs)
+        g = rels[f"r_{m}"].substituted(locus_subs | t_subs)
         ok = exact_divide(g, curve_relation) is not None
         out.append(check(f"curve_relation_reduces[r_{m}]", ok,
                          None if ok else f"image={g}"))

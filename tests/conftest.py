@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -11,6 +12,29 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from delpezzo.cli import main  # noqa: E402
 
 GATE_PATH = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+# the slowest test takes about 1.5 s; a hang (say, a wrong divisibility
+# test in exact division) must read as a failure, not stall the run
+TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test still running after ``TIME_LIMIT_S`` seconds of wall
+    time, through SIGALRM; where the platform has none, tests run unlimited."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test still running after {TIME_LIMIT_S} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -108,9 +108,9 @@ def test_05_presentation_reproduction():
     ok = ok and named["span_change_of_basis[kernel_to_claimed]"]
     ok = ok and named["span_change_of_basis[claimed_to_kernel]"]
     # negative control: a tampered relation must fail loudly
-    from delpezzo.algebra import GeomPoly
+    from delpezzo.algebra import SparsePoly
     bad = dict(pres.relations)
-    bad["r_1"] = bad["r_1"] + GeomPoly.var(pres.table, "u1")
+    bad["r_1"] = bad["r_1"] + SparsePoly.var(pres.table, "u1")
     tampered = Presentation(chart=0, generators=pres.generators,
                             relations=bad, embedding=pres.embedding,
                             table=pres.table)

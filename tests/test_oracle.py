@@ -258,9 +258,9 @@ def test_u_block_minors_are_h_multiples(chart):
     pres, ring, sym, h = chart_setup(chart)
     syms = list(sym.values())
     u_syms = [sym[n] for n in pres.u_names]
-    rels = [sparse_expr(rel.as_sparse(), syms) for rel in list(pres.relations.values())[:4]]
+    rels = [sparse_expr(rel, syms) for rel in list(pres.relations.values())[:4]]
     jac = sp.Matrix([[sp.diff(r, u) for u in u_syms] for r in rels])
-    ours = dict(jacobian_minors(jacobian([rel.as_sparse() for rel in pres.relations.values()][:4],
+    ours = dict(jacobian_minors(jacobian(list(pres.relations.values())[:4],
                                          pres.u_names), 3))
     assert len(ours) == 4
     for dropped in range(4):
@@ -324,7 +324,7 @@ def test_t_table_rebuilds_the_relations_and_is_associative(chart):
     pres = build_presentation(chart)
     sym, t_syms, linear = t_table_setup(pres)
     syms = list(sym.values())
-    relations = {as_gf_poly(rel.as_sparse(), syms) for rel in pres.relations.values()}
+    relations = {as_gf_poly(rel, syms) for rel in pres.relations.values()}
     for (i, j), entry in linear.items():
         rebuilt = sp.Poly(t_syms[i] * t_syms[j] - entry, *syms, modulus=2)
         assert rebuilt in relations
@@ -335,7 +335,7 @@ def test_t_table_rebuilds_the_relations_and_is_associative(chart):
 def test_t_table_of_a_perturbed_relation_is_not_associative():
     pres = build_presentation(0)
     relations = dict(pres.relations)
-    relations["r_4"] = relations["r_4"] + parse(pres.table, "u1*t1")
+    relations["r_4"] = relations["r_4"] + parse(pres.table, "u1*t1").as_sparse()
     bad = pres._replace(relations=relations)
     triples = sympy_associators(bad)
     assert len(triples) == 12
@@ -355,7 +355,7 @@ class RelationReduction:
         self.ring, *_ = sp.ring(names, sp.GF(2))
         self.rhs = {}
         for rel in pres.relations.values():
-            poly = self.poly(rel.as_sparse())
+            poly = self.poly(rel)
             quads = [m for m in poly.monoms() if sum(m[:3]) == 2]
             if quads:
                 (monom,) = quads
@@ -400,7 +400,7 @@ def table_and_raw_minors(pres, size, rows, cols):
     """The minors of one Jacobian block on the table values of its entries,
     and the raw flat minors."""
     t_table = TTable(pres)
-    rels = [rel.as_sparse() for rel in pres.relations.values()]
+    rels = list(pres.relations.values())
     jac = [[jac_row[c] for c in cols] for jac_row in jacobian(rels, pres.generators)]
     jac = [jac[r] for r in rows]
     values = [[normal_form(e, t_table) for e in row] for row in jac]
@@ -436,7 +436,7 @@ def test_table_minors_match_a_reduction_by_the_relations(chart):
 def test_perturbed_t_block_minors_match_a_reduction_by_the_relations():
     pres = build_presentation(0)
     relations = dict(pres.relations)
-    relations["r_4"] = relations["r_4"] + parse(pres.table, "u1*t1")
+    relations["r_4"] = relations["r_4"] + parse(pres.table, "u1*t1").as_sparse()
     bad = pres._replace(relations=relations)
     minors, raw = table_and_raw_minors(bad, 2, range(4, 7), range(3, 6))
     # a t-block minor has t-degree 2, so its reduction is one step and
