@@ -37,8 +37,8 @@ The value model has two term maps and one fraction arithmetic:
   ``SparsePoly`` f is one ``dot`` of its partials by the images.
 
 Only values that can carry a denominator are ``GeomPoly`` (S-values over
-GF(2)(a), the kernel, the cusp, presentation JSON, one evaluation point);
-the rest compute flat and print through ``as_geom``.
+GF(2)(a), the kernel, the cusp and presentation JSON); the rest compute
+flat and print through ``as_geom``.
 
 Both polynomial types share one monomial layout, known only to this
 module.  A key is one int: a ``FIELD_BITS``-bit field per variable (the
@@ -707,15 +707,8 @@ class ParamRational(RingFraction):
     def zero(cls, table: VarTable) -> ParamRational:
         return cls(SparsePoly.zero(table))
 
-    @classmethod
-    def var(cls, table: VarTable, name: str, power: int = 1) -> ParamRational:
-        return cls(SparsePoly.var(table, name, power))
-
     def __pow__(self, n: int) -> ParamRational:
         return ParamRational._make(self.num ** n, self.den ** n)
-
-    def frobenius(self) -> ParamRational:
-        return ParamRational._make(self.num.frobenius(), self.den.frobenius())
 
     def p_root(self) -> ParamRational | None:
         """Square root, or None when the value is not a square.
@@ -734,8 +727,6 @@ def _as_rational(table: VarTable, value) -> ParamRational:
         if value.table is not table and value.table != table:
             raise TableMismatchError("mismatched variable tables")
         return value
-    if isinstance(value, SparsePoly):
-        return ParamRational(value)
     if isinstance(value, int):
         return ParamRational(SparsePoly.const(table, value))
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
@@ -750,8 +741,7 @@ class GeomPoly(_TermMap):
     ``MAX_DEGREE`` and a result beyond it raises ``OverflowError``.  The
     constructor takes exponent tuples and rejects a nonzero parameter
     slot; ``terms`` is a read-only view keyed by exponent tuples.  The
-    ring axioms hold exactly and the Frobenius square is a ring
-    endomorphism.
+    ring axioms hold exactly.
 
     A product is one flat product of GF(2) term maps when every
     coefficient of both factors has a monomial denominator
@@ -848,12 +838,6 @@ class GeomPoly(_TermMap):
             return GeomPoly.zero(self.table)
         return GeomPoly._raw(self.table, {k: v * c for k, v in self._t.items()})
 
-    def frobenius(self) -> GeomPoly:
-        table = self.table
-        if self._t:
-            _check_degree((max(self._t) >> table._deg_shift) * 2)
-        return GeomPoly._raw(table, {k << 1: c.frobenius() for k, c in self._t.items()})
-
     def substituted(self, bindings: dict) -> GeomPoly:
         """Simultaneous substitution of geometric variables by GeomPoly
         values (or constants); binding a parameter raises ValueError.
@@ -897,13 +881,6 @@ class GeomPoly(_TermMap):
                 raise ArithmeticError(f"a coefficient of {self} is not a polynomial")
             out.update({key + k: 1 for k in num._t})
         return SparsePoly._raw(self.table, out)
-
-    def as_param_rational(self) -> ParamRational:
-        if not self._t:
-            return ParamRational.zero(self.table)
-        if self._t.keys() != {0}:
-            raise ValueError("polynomial is not constant in the geometry")
-        return self._t[0]
 
     def coefficient(self, exps: dict) -> ParamRational:
         return self._t.get(_pack_named(self.table, exps),
@@ -1153,32 +1130,3 @@ def root_monomial(table: VarTable, name: str, j: int) -> SparsePoly:
     if j < 0 or j > k:
         raise RootDepthError(f"2^{j}-th root needs depth >= {j}, table has {k}")
     return SparsePoly.var(table, name, 2 ** (k - j))
-
-
-def parse(table: VarTable, text: str) -> GeomPoly:
-    """Small helper turning 'x1^2*x2 + a0*x3 + 2' into a GeomPoly."""
-    result = GeomPoly.zero(table)
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError("empty term in polynomial text")
-        coeff = 1
-        geom_exps: dict = {}
-        param_exps: dict = {}
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if "^" in factor:
-                name, _, e_text = factor.partition("^")
-                name = name.strip()
-                e = int(e_text)
-            else:
-                name, e = factor, 1
-            if name.lstrip("-").isdigit():
-                coeff *= int(name) ** e
-                continue
-            target = geom_exps if table.kind(name) == GEOM else param_exps
-            target[name] = target.get(name, 0) + e
-        term = GeomPoly.monomial(
-            table, geom_exps, SparsePoly.monomial(table, param_exps, coeff))
-        result = result + term
-    return result

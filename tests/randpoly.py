@@ -1,4 +1,5 @@
-"""Seeded random values and the shared property checks.
+"""Seeded random values, a polynomial text parser and the shared property
+checks.
 
 Each check_* function performs `trials` independent random instances,
 asserts every identity it tests, and returns the number of individual
@@ -23,6 +24,32 @@ def make_table(depth=0):
     names = ["a0", "a1", "a2", "x1", "x2", "x3"]
     kinds = [PARAM] * 3 + [GEOM] * 3
     return VarTable(names, kinds, root_depth=depth)
+
+
+def parse(table, text):
+    """'x1^2*x2 + a0*x3 + 2' as a ``GeomPoly``: a sum of ``SparsePoly``
+    monomials, integer factors reduced mod 2, moved into coefficients by
+    ``as_geom``; an unknown variable raises ValueError."""
+    result = SparsePoly.zero(table)
+    for chunk in text.split("+"):
+        if not chunk.strip():
+            raise ValueError("empty term in polynomial text")
+        coeff, exps = 1, {}
+        for factor in chunk.split("*"):
+            name, _, e_text = factor.partition("^")
+            name, e = name.strip(), int(e_text) if e_text else 1
+            if name.lstrip("-").isdigit():
+                coeff *= int(name) ** e
+            else:
+                exps[name] = exps.get(name, 0) + e
+        result = result + SparsePoly.monomial(table, exps, coeff)
+    return result.as_geom()
+
+
+def constant_value(g):
+    """The coefficient of a ``GeomPoly`` that is constant in the geometry."""
+    assert set(g.terms) <= {(0,) * len(g.table.names)}, g
+    return g.coefficient({})
 
 
 def random_sparse(rng, table, max_terms=4, max_exp=3, params_only=False):
@@ -150,8 +177,8 @@ def check_geom_ring_axioms(rng, table, trials):
 def check_frobenius_endomorphism(rng, table, trials):
     count = 0
     for _ in range(trials):
-        f = random_geom(rng, table)
-        g = random_geom(rng, table)
+        f = random_sparse(rng, table)
+        g = random_sparse(rng, table)
         assert (f * g).frobenius() == f.frobenius() * g.frobenius()
         assert (f + g).frobenius() == f.frobenius() + g.frobenius()
         count += 2

@@ -17,7 +17,6 @@ from delpezzo.algebra import (
     ZeroDenominatorError,
     dot,
     exact_divide,
-    parse,
     root_monomial,
     strip_common_monomial,
 )
@@ -28,7 +27,9 @@ from randpoly import (
     check_leibniz,
     check_rational_equivalence,
     check_sparse_ring_axioms,
+    constant_value,
     make_table,
+    parse,
     random_sparse,
 )
 
@@ -121,32 +122,33 @@ class TestPolyMul:
         expected = parse(tbl, "x2^2*x3^2 + x2^4*x3^2 + x2^2*x3^4")
         assert f * f == expected
         # independent route: squaring is the Frobenius for p = 2
-        assert f * f == f.frobenius()
+        assert (f * f).as_sparse() == f.as_sparse().frobenius()
 
 
 class TestFrobenius:
     def test_freshmans_dream(self):
         tbl = table()
-        assert parse(tbl, "a0 + x1").frobenius() == parse(tbl, "a0^2 + x1^2")
+        assert (parse(tbl, "a0 + x1").as_sparse().frobenius()
+                == parse(tbl, "a0^2 + x1^2").as_sparse())
 
     def test_zero(self):
         tbl = table()
-        assert GeomPoly.zero(tbl).frobenius().is_zero()
+        assert SparsePoly.zero(tbl).frobenius().is_zero()
 
     def test_root_form_recovers_quadric(self):
         # at depth 1 the symbols are square roots; squaring the linear
         # form gives back the quadric relation in those roots
         t1 = table(depth=1)
         ell = parse(t1, "a0 + a1*x1 + a2*x2 + a3*x3")
-        assert ell.frobenius() == quadric(t1)
+        assert ell.as_sparse().frobenius() == quadric(t1).as_sparse()
 
 
 class TestSubstitute:
     def test_point_on_quadric(self):
         tbl = table(depth=1)
         q = quadric(tbl)
-        b0 = ParamRational.var(tbl, "a0")
-        b3 = ParamRational.var(tbl, "a3")
+        b0 = ParamRational(SparsePoly.var(tbl, "a0"))
+        b3 = ParamRational(SparsePoly.var(tbl, "a3"))
         point = {"x1": 0, "x2": 0, "x3": GeomPoly.const(tbl, b0 / b3)}
         assert q.substituted(point).is_zero()
 
@@ -154,21 +156,20 @@ class TestSubstitute:
         tbl = table(depth=1)
         ell = parse(tbl, "a0 + a1*x1 + a2*x2 + a3*x3")
         image = theta_p(tbl)(ell.as_sparse()).as_geom()
-        b0 = ParamRational.var(tbl, "a0")
-        b3 = ParamRational.var(tbl, "a3")
+        b0 = ParamRational(SparsePoly.var(tbl, "a0"))
+        b3 = ParamRational(SparsePoly.var(tbl, "a3"))
         value = image.substituted(
             {"x1": 0, "x2": 0, "x3": GeomPoly.const(tbl, b0 / b3)})
         expected = b0 + b0 * b0 / b3
-        assert value.as_param_rational() == expected
+        assert constant_value(value) == expected
         assert not value.is_zero()
 
     def test_indicator_vector_evaluation(self):
         names = ["a0", "a1", "a2", "a3", "X0", "X1", "X2", "X3"]
         tbl = VarTable(names, [PARAM] * 4 + [GEOM] * 4)
         q_form = parse(tbl, "a0*X0^2 + a1*X1^2 + a2*X2^2 + a3*X3^2")
-        value = q_form.substituted(
-            {"X0": 1, "X1": 1, "X2": 0, "X3": 0}).as_param_rational()
-        assert value == ParamRational.var(tbl, "a0") + ParamRational.var(tbl, "a1")
+        value = constant_value(q_form.substituted({"X0": 1, "X1": 1, "X2": 0, "X3": 0}))
+        assert value == ParamRational(SparsePoly.var(tbl, "a0") + SparsePoly.var(tbl, "a1"))
 
     def test_zero_denominator_detected(self):
         tbl = table()
@@ -197,7 +198,7 @@ class TestDerive:
         tbl = table()
         envelope = parse(tbl, "1 + x1 + x2 + x3")
         theta_a = Derivation(tbl, {
-            f"a{k}": envelope.scaled(ParamRational.var(tbl, f"a{k}")).as_sparse()
+            f"a{k}": envelope.scaled(ParamRational(SparsePoly.var(tbl, f"a{k}"))).as_sparse()
             for k in range(4)})
         q = quadric(tbl)
         assert theta_a(q.as_sparse()) == (envelope * q).as_sparse()
@@ -221,14 +222,14 @@ class TestRationalEq:
 
     def test_independent_parameters(self):
         tbl = table()
-        assert ParamRational.var(tbl, "a0") != ParamRational.var(tbl, "a1")
+        assert ParamRational(SparsePoly.var(tbl, "a0")) != ParamRational(SparsePoly.var(tbl, "a1"))
 
     def test_depth_two_translation(self):
         # at depth 2 the depth-0 ratio a0/a3 reads a0^4/a3^4, and the ratio
         # of first-level roots squares onto it
         t2 = table(depth=2)
-        quartic = (ParamRational.var(t2, "a0", 4)
-                   / ParamRational.var(t2, "a3", 4))
+        quartic = (ParamRational(SparsePoly.var(t2, "a0", 4))
+                   / ParamRational(SparsePoly.var(t2, "a3", 4)))
         root_ratio = (ParamRational(root_monomial(t2, "a0", 1))
                       / ParamRational(root_monomial(t2, "a3", 1)))
         assert root_ratio ** 2 == quartic
@@ -250,7 +251,7 @@ class TestRootExtend:
         t3 = table(depth=3)
         h = parse(t3, "a0^8 + a1^8*u1^2 + a2^8*u2^2 + a3^8*u3^2")
         sqrt_h = parse(t3, "a0^4 + a1^4*u1 + a2^4*u2 + a3^4*u3")
-        assert sqrt_h.frobenius() == h
+        assert sqrt_h.as_sparse().frobenius() == h.as_sparse()
 
     def test_root_beyond_depth_fails(self):
         with pytest.raises(RootDepthError):

@@ -1,4 +1,5 @@
-"""The fraction-free routes.  The singular locus: the flat ``SparsePoly``
+"""The fraction-free routes.  The reducedness witness's evaluation point
+against the substitution over K.  The singular locus: the flat ``SparsePoly``
 primitives it runs on, a cross-check against the same generic functions
 called on ``GeomPoly`` values with rational coefficients, the t-table's
 minors and products against their images in M, and the guards that stop the scan
@@ -23,7 +24,6 @@ from delpezzo.algebra import (
     SparsePoly,
     TableMismatchError,
     exact_divide,
-    parse,
     pseudo_substitute,
 )
 from delpezzo.quotient import (
@@ -36,9 +36,19 @@ from delpezzo.quotient import (
     t_parts,
     verify_presentation,
 )
-from delpezzo.surfaces import build_presentation, others, singular_locus
+from delpezzo.surfaces import (
+    FoliationSpec,
+    QuadricChart,
+    build_presentation,
+    chart_table,
+    others,
+    singular_locus,
+    witness_point_value,
+)
 from randpoly import (
+    constant_value,
     make_table,
+    parse,
     random_laurent_geom,
     random_nonzero_geom,
     random_nonzero_sparse,
@@ -246,6 +256,46 @@ class TestCrossCheck:
                 "r_1": "[(0, 0, 1), (0, 0, 2), (0, 1, 2), (0, 2, 1)] (8 of 27)"}[name]
         assert named["minors_divisible_by_h"].witness == (
             f"checked 525 minors, failures at {flat[:4]}, t-table not associative at {skew}")
+
+
+def substituted_point_value(f: SparsePoly) -> ParamRational:
+    """f at (0, 0, a0/a3) over K, independent of ``witness_point_value``:
+    x3 = a0/a3 bound by ``GeomPoly.substituted``, read off the constant."""
+    table = f.table
+    a0, a3 = SparsePoly.var(table, "a0"), SparsePoly.var(table, "a3")
+    point = {"x1": 0, "x2": 0, "x3": GeomPoly.const(table, ParamRational(a0, a3))}
+    return constant_value(f.as_geom().substituted(point))
+
+
+class TestWitnessPoint:
+    @pytest.mark.parametrize("kind", ["deg1", "deg2"])
+    def test_foliation_image_is_the_substitution_over_k(self, kind):
+        quad = QuadricChart.build(0, depth=1)
+        table = quad.table
+        ell = sum((SparsePoly.var(table, f"a{m}") * SparsePoly.var(table, f"x{m}")
+                   for m in (1, 2, 3)), SparsePoly.var(table, "a0"))
+        image = FoliationSpec.build(kind, quad).theta(ell)
+        value, reference = witness_point_value(image), substituted_point_value(image)
+        assert value == reference and str(value) == str(reference)
+        assert not value.is_zero()
+
+    def test_random_values_are_the_substitution_over_k(self):
+        # the same text too: over the monomial a3^k the normal form is unique
+        rng = random.Random(3001)
+        table = chart_table(0, 1)
+        names = ["a0", "a1", "a2", "a3", "x1", "x2", "x3"]
+        degrees, texts = set(), set()
+        for _ in range(12):
+            f = SparsePoly.zero(table)
+            for _ in range(5):
+                f = f + SparsePoly.monomial(
+                    table, {n: rng.randint(0, 3) for n in rng.sample(names, 3)})
+            value, reference = witness_point_value(f), substituted_point_value(f)
+            assert value == reference and str(value) == str(reference)
+            degrees.add(f.degree_in("x3"))
+            texts.add(str(value))
+        # denominators a3^0..a3^3 before stripping; "a0" lost all of its
+        assert degrees == {0, 1, 2, 3} and "a0" in texts and len(texts) == 11
 
 
 class TestTTable:

@@ -14,7 +14,6 @@ from delpezzo.algebra import (
     SparsePoly,
     VarTable,
     exact_divide,
-    parse,
 )
 from delpezzo.quotient import BaseRingS, TTable, jacobian, jacobian_minors, normal_form
 from delpezzo.surfaces import (
@@ -28,6 +27,7 @@ from delpezzo.surfaces import (
 )
 from randpoly import (
     make_table,
+    parse,
     random_nonzero_geom,
     random_nonzero_sparse,
     random_rational,

@@ -12,8 +12,8 @@ from delpezzo.algebra import (
     SparsePoly,
     VarTable,
     dot,
-    parse,
 )
+from randpoly import parse
 
 WIDTH = 18
 WIDE = VarTable([f"a{i}" for i in range(4)] + [f"g{i}" for i in range(WIDTH - 4)],
@@ -85,9 +85,6 @@ class TestDegreeLimit:
             top * cls.var(WIDE, "g1")
         with pytest.raises(OverflowError):
             x ** (MAX_DEGREE + 1)
-        assert cls.var(WIDE, "g0", MAX_DEGREE // 2).frobenius().degree_in("g0") == MAX_DEGREE - 1
-        with pytest.raises(OverflowError):
-            cls.var(WIDE, "g0", (MAX_DEGREE + 1) // 2).frobenius()
 
 
 def test_param_rational_rejects_geometric_variable():
@@ -121,7 +118,7 @@ def test_terms_view_is_tuple_keyed_and_read_only():
     g = parse(WIDE, "a0*g1 + 1")
     geom_key = tuple(1 if i == 5 else 0 for i in range(WIDTH))
     assert set(g.terms) == {geom_key, (0,) * WIDTH}
-    assert g.terms[geom_key] == ParamRational.var(WIDE, "a0") and len(g.terms) == 2
+    assert g.terms[geom_key] == ParamRational(SparsePoly.var(WIDE, "a0")) and len(g.terms) == 2
     with pytest.raises(TypeError):
         g.terms[geom_key] = ParamRational.zero(WIDE)
     assert GeomPoly(WIDE, g.terms) == g

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from delpezzo.algebra import Derivation, GeomPoly, ParamRational, SparsePoly, parse
+from delpezzo.algebra import Derivation, GeomPoly, ParamRational, SparsePoly
 from delpezzo.quotient import (
     BaseRingS,
     DerivationNotLinearError,
@@ -29,7 +29,7 @@ from delpezzo.surfaces import (
     build_presentation,
     chart_table,
 )
-from randpoly import make_table, random_laurent_geom
+from randpoly import make_table, parse, random_laurent_geom
 from test_fraction_free import deadline
 from test_stages import embedded, t_poly
 
@@ -65,7 +65,8 @@ def x_poly(vec, ring):
     mixed = mixed.substituted({un: GeomPoly.var(table, xn) ** 2
                                for un, xn in zip(ring.u_names, ring.x_names)})
     elim = f"a{ring.others[-1]}"
-    d = ParamRational.var(table, elim, max(c.den.degree_in(elim) for c in mixed.terms.values()))
+    d = ParamRational(SparsePoly.var(
+        table, elim, max(c.den.degree_in(elim) for c in mixed.terms.values())))
     return mixed.scaled(d).as_sparse(), d
 
 

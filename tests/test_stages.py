@@ -3,8 +3,9 @@ singular scan, one normal form per Jacobian entry, one division by h per
 distinct nonzero minor coordinate and one variable table per (chart,
 depth); no product by one and no computed pivot column in the
 presentation's elimination; cusp sums over the larger denominator where
-one divides the other; primality tests in the numerics suite only for
-the primes its scans and tables visit.  Also the negative controls of
+one divides the other; no ``GeomPoly`` arithmetic in the foliations
+suite; primality tests in the numerics suite only for the primes its
+scans and tables visit.  Also the negative controls of
 the dehomogenisation, p-closure, ideal-preservation, field-of-constants,
 presentation, singular-locus, cusp, fibre-injectivity and reducedness
 witness checks, and a check that every name the benchmark's tracer wraps
@@ -19,7 +20,7 @@ import runpy
 import pytest
 
 from delpezzo import algebra, cli, numerics, quotient, surfaces
-from delpezzo.algebra import Derivation, ParamRational, SparsePoly, VarTable, parse
+from delpezzo.algebra import Derivation, ParamRational, SparsePoly, VarTable
 from delpezzo.quotient import BaseRingS, Presentation, to_module_vector, verify_presentation
 from delpezzo.surfaces import (
     QuadricChart,
@@ -27,6 +28,7 @@ from delpezzo.surfaces import (
     chart_table,
     singular_locus,
 )
+from randpoly import parse
 
 CHARTS = (0, 1, 2, 3)
 MODULES = (algebra, quotient, surfaces, cli)
@@ -46,6 +48,21 @@ def count_calls(monkeypatch, name: str) -> list:
     for mod in MODULES:
         if vars(mod).get(name) is orig:
             monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def count_geom_calls(monkeypatch) -> dict:
+    """Wrap the ``GeomPoly`` product, sum, scaling and substitution; the
+    returned map counts the calls of each."""
+    calls = {name: 0 for name in ("__mul__", "__add__", "scaled", "substituted")}
+
+    def wrap(name, orig):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        return counted
+    for name in calls:
+        monkeypatch.setattr(algebra.GeomPoly, name, wrap(name, getattr(algebra.GeomPoly, name)))
     return calls
 
 
@@ -263,6 +280,21 @@ class TestStageCounts:
         assert loaded == build_presentation(1)
         assert distinct == []
 
+    @pytest.mark.parametrize("chart", CHARTS)
+    def test_foliations_suite_does_no_rational_arithmetic(self, monkeypatch, chart):
+        calls = count_geom_calls(monkeypatch)
+        checks = cli.suite_checks("foliations", chart)
+        assert checks and all(c.passed for c in checks)
+        # the reducedness witness evaluates its point fraction-free too
+        assert calls == {"__mul__": 0, "__add__": 0, "scaled": 0, "substituted": 0}
+
+    def test_cusp_substitutes_eight_times(self, monkeypatch):
+        calls = count_geom_calls(monkeypatch)
+        _, checks = surfaces.cusp_curve()
+        assert checks and all(c.passed for c in checks)
+        # two locus checks, three cubics and three curve relations
+        assert calls["substituted"] == 8
+
     def test_numerics_suite_tests_only_the_visited_primes(self, monkeypatch):
         orig, tested = numerics.is_prime, []
 
@@ -434,6 +466,21 @@ class TestNegativeControls:
         checks = surfaces.reducedness_witness()
         assert [c.name for c in checks if not c.passed] == [
             "derivative_identity", "evaluation_value"]
+        assert failed_witnesses(checks)["evaluation_value"] == (
+            "value=(a0^3 + a0*a3^2 + a0^2 + a0*a3)/(a3)")
+
+    def test_zero_derivation_fails_the_reducedness_evaluation(self, monkeypatch):
+        build = surfaces.FoliationSpec.build.__func__
+        monkeypatch.setattr(surfaces.FoliationSpec, "build", classmethod(
+            lambda cls, kind, chart: build(cls, kind, chart)._replace(
+                theta=Derivation(chart.table, {}))))
+        checks = surfaces.reducedness_witness()
+        assert [c.name for c in checks] == [
+            "derivative_identity", "evaluation_value", "evaluation_nonzero",
+            "square_recovers_quadric"]
+        assert failed_witnesses(checks) == {"derivative_identity": "image=0",
+                                            "evaluation_value": "value=0",
+                                            "evaluation_nonzero": "value=0"}
 
     def test_perturbed_relation_fails_the_u_block_minors(self):
         bad = perturbed(build_presentation(0), "r_1", "u1*u2")

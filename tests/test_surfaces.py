@@ -10,7 +10,6 @@ from delpezzo.algebra import (
     ParamRational,
     SparsePoly,
     exact_divide,
-    parse,
 )
 from delpezzo.quotient import BaseRingS, derivation_matrix, jacobian, jacobian_minors, kernel_basis
 from delpezzo.reports import failures
@@ -28,6 +27,7 @@ from delpezzo.surfaces import (
     reducedness_witness,
     singular_locus,
 )
+from randpoly import parse
 
 CHARTS = (0, 1, 2, 3)
 
